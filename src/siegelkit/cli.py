@@ -2,8 +2,7 @@
 machine-readable outputs.
 
 Exit codes: 0 all checks pass, 1 a check failed (diagnostics as JSON on
-stdout), 2 usage error.  A fixed --seed controls every randomized sample;
-SIEGELKIT_THREADS caps enumeration workers.
+stdout), 2 usage error.  A fixed --seed controls every randomized sample.
 """
 
 import argparse
@@ -251,7 +250,6 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="siegelkit",
         description="Siegel-space geometry, modular-form and general-type checks",
-        epilog="SIEGELKIT_THREADS caps enumeration workers.",
     )
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized samples")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -42,7 +42,7 @@ def zeros(n, m=None):
 
 
 def shape(a):
-    return len(a), len(a[0]) if a else 0
+    return len(a), len(a[0]) if len(a) else 0
 
 
 def transpose(a):

@@ -4,17 +4,17 @@ constants squared), the degree-3 weight-18 form (product of the 36 even theta
 constants), and the weight-8 difference of the two rank-16 even unimodular
 theta series.
 
-Lattice coefficients are exact integers obtained by norm-bounded backtracking
-over an exact (rational Cholesky) decomposition of the Gram matrix; floating
-point only seeds the coordinate ranges, membership is always decided by exact
-integer arithmetic.
+Lattice coefficients are exact integers obtained by a Fincke-Pohst
+enumeration over an exact (rational Cholesky) decomposition of the Gram
+matrix, expanded level by level: each step fixes one more coordinate for the
+whole frontier of partial vectors at once, in numpy.  Floating point only
+seeds the coordinate ranges and prunes the frontier; membership is always
+decided by exact integer arithmetic.
 """
 
 import cmath
 import math
-import os
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -247,83 +247,57 @@ def _exact_cholesky(gram):
 
 @lru_cache(maxsize=32)
 def short_vectors(lattice: LatticeGram, bound: int):
-    """All integer coordinate vectors with t(x) G x <= bound (zero included).
+    """All integer coordinate vectors with t(x) G x <= bound (zero included),
+    as a read-only int64 array in lexicographic order.
 
-    Coordinate ranges are seeded from a float image of the exact rational
-    decomposition with a safety margin (so no vector can be missed); the
-    collected candidates are then filtered by an exact integer norm check,
-    so the returned set is exact.
+    The tree of partial vectors is expanded one coordinate level at a time
+    over the whole frontier.  Coordinate ranges and pruning come from a float
+    image of the exact rational decomposition with a safety margin (so no
+    vector can be missed); alongside, each node carries its exact int64 norm,
+    and the leaves are filtered by t(x) G x <= bound, so the returned set is
+    exact.  The tree runs over y = x reversed, so it branches on x_0 first and
+    the frontier, expanded in increasing order under each parent, stays in
+    lexicographic order.
     """
     r = lattice.rank
-    q = _exact_cholesky(lattice.gram)
-    qf = [[float(q[i][j]) for j in range(r)] for i in range(r)]
-    qcol = [np.array([qf[j][i] for j in range(i)]) for i in range(r)]
+    gram = np.array(lattice.gram, dtype=np.int64)[::-1, ::-1]
+    qf = np.array(_exact_cholesky(gram.tolist()), dtype=float)
     slack = 1e-9 * (bound + 1)
-    candidates = []
-    x = [0] * r
-
-    def descend(i, remaining, centers):
-        qi = qf[i][i]
-        u = centers[i]
-        radius = math.sqrt(max(remaining, 0.0) / qi) + slack
-        lo = math.ceil(-u - radius - 1e-12)
-        hi = math.floor(-u + radius + 1e-12)
-        for xi in range(lo, hi + 1):
-            x[i] = xi
-            if i == 0:
-                candidates.append(tuple(x))
-            else:
-                left = remaining - qi * (xi + u) ** 2
-                if left < -slack:
-                    continue
-                descend(i - 1, left, centers[:i] + xi * qcol[i])
-        x[i] = 0
-
-    descend(r - 1, float(bound) + slack, np.zeros(r))
-    arr = np.array(candidates, dtype=np.int64)
-    gram_np = np.array(lattice.gram, dtype=np.int64)
-    norms = np.einsum("ni,ij,nj->n", arr, gram_np, arr)
-    keep = arr[norms <= bound]
-    keep = keep[np.lexsort(keep.T[::-1])]
+    centers = np.zeros((1, r))                  # float centers of the open levels
+    remaining = np.array([float(bound) + slack])
+    partial = np.zeros((1, r), dtype=np.int64)  # exact G y over the fixed levels
+    norms = np.zeros(1, dtype=np.int64)         # exact t(y) G y over the fixed levels
+    levels = []                                 # (parent index, coordinate) per level
+    for i in range(r - 1, -1, -1):
+        u = centers[:, i]
+        radius = np.sqrt(np.maximum(remaining, 0.0) / qf[i, i]) + slack
+        lo = np.ceil(-u - radius - 1e-12).astype(np.int64)
+        hi = np.floor(-u + radius + 1e-12).astype(np.int64)
+        width = np.maximum(hi - lo + 1, 0)
+        parent = np.repeat(np.arange(len(width)), width)
+        xi = lo[parent] + np.arange(len(parent)) - np.repeat(np.cumsum(width) - width, width)
+        if i:
+            left = remaining[parent] - qf[i, i] * (xi + u[parent]) ** 2
+            alive = left >= -slack
+            parent, xi, remaining = parent[alive], xi[alive], left[alive]
+            centers = centers[parent, :i] + xi[:, None] * qf[:i, i]
+        norms = norms[parent] + xi * (gram[i, i] * xi + 2 * partial[parent, i])
+        partial = partial[parent, :i] + xi[:, None] * gram[:i, i]
+        levels.append((parent, xi))
+    # walk each leaf inside the bound back to the root, filling x_{r-1}, ..., x_0
+    node = np.flatnonzero(norms <= bound)
+    keep = np.empty((len(node), r), dtype=np.int64)
+    for k, (parent, xi) in enumerate(reversed(levels)):
+        keep[:, r - 1 - k] = xi[node]
+        node = parent[node]
     keep.setflags(write=False)
     return keep
 
 
-def _worker_count():
-    raw = os.environ.get("SIEGELKIT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _vectors_by_norm(lattice, bound):
-    vecs = short_vectors(lattice, bound)
-    gram_np = np.array(lattice.gram, dtype=np.int64)
-    norms = np.einsum("ni,ij,nj->n", vecs, gram_np, vecs)
-    return {int(n): vecs[norms == n] for n in sorted(set(norms.tolist()))}
-
-
 def _pair_tallies(gram_np, x1, x2, n1, n2):
     """Counts of 2A = ((n1, r), (r, n2)) over ordered pairs from two classes."""
-    tally = Counter()
-    workers = _worker_count()
-    chunks = np.array_split(x1, min(workers, len(x1))) if workers > 1 else [x1]
-
-    def run(chunk):
-        cross = chunk @ gram_np @ x2.T
-        values, counts = np.unique(cross, return_counts=True)
-        return values, counts
-
-    if workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, chunks))
-    else:
-        results = [run(c) for c in chunks]
-    for values, counts in results:          # merged in fixed chunk order
-        for v, c in zip(values.tolist(), counts.tolist()):
-            tally[(n1, v, n2)] += c
-    return tally
+    values, counts = np.unique(x1 @ gram_np @ x2.T, return_counts=True)
+    return Counter({(n1, v, n2): c for v, c in zip(values.tolist(), counts.tolist())})
 
 
 def lattice_theta_coefficients(lattice: LatticeGram, genus: int, trace_bound: int) -> FourierExpansion:
@@ -342,20 +316,23 @@ def lattice_theta_coefficients(lattice: LatticeGram, genus: int, trace_bound: in
     if genus > 3:
         raise ValueError("genus is guarded to <= 3")
     bound = 2 * trace_bound
-    classes = _vectors_by_norm(lattice, bound)
     gram_np = np.array(lattice.gram, dtype=np.int64)
-    tally = Counter()
-    norms = sorted(classes)
+    vecs = short_vectors(lattice, bound)
+    vec_norms = np.einsum("ni,ni->n", vecs @ gram_np, vecs)
+    counts = np.bincount(vec_norms)
+    norms = np.flatnonzero(counts).tolist()
     if genus == 1:
-        for n in norms:
-            tally[(n,)] = len(classes[n])
-    elif genus == 2:
+        tally = Counter({(n,): int(counts[n]) for n in norms})
+    else:
+        classes = {n: vecs[vec_norms == n] for n in norms}
+        tally = Counter()
+    if genus == 2:
         for n1 in norms:
             for n2 in norms:
                 if n1 + n2 > bound:
                     continue
                 tally.update(_pair_tallies(gram_np, classes[n1], classes[n2], n1, n2))
-    else:
+    elif genus == 3:
         offset = 2 * bound + 1
         span = 2 * offset + 1
         for n1 in norms:
@@ -414,7 +391,8 @@ def chi10_normalization(trunc: TruncationParams = TruncationParams(radius=8, tar
 
     The constant is estimated from second differences in z at a point far up
     the cusp (where corrections are exponentially small), Richardson-refined,
-    and snapped to +-2^-12 when the estimate confirms the classical value.
+    and snapped to +-2^-12 or +-2^-14 when the estimate confirms that value.
+    Raises RuntimeError, and caches nothing, when it confirms none of them.
     """
     key = trunc.radius
     if key in _CHI10_CALIBRATION:
@@ -437,12 +415,10 @@ def chi10_normalization(trunc: TruncationParams = TruncationParams(radius=8, tar
     # the leading term carries (pi z)^2 against half-integer characteristics)
     for candidate in (2 ** 12, -(2 ** 12), 2 ** 14, -(2 ** 14)):
         if abs(c_inv - candidate) <= 1e-3 * abs(candidate):
-            result = 1.0 / candidate
-            break
-    else:
-        result = 1.0 / c_inv
-    _CHI10_CALIBRATION[key] = result
-    return result
+            _CHI10_CALIBRATION[key] = 1.0 / candidate
+            return _CHI10_CALIBRATION[key]
+    raise RuntimeError(f"chi10 normalization estimate 1/c = {c_inv:.6g} is within 1e-3 "
+                       "of none of +-2^12, +-2^14")
 
 
 def chi10(tau: SiegelPoint, trunc: TruncationParams = TruncationParams(radius=10, target=1e-8)) -> complex:

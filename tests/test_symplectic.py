@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from siegelkit import exact
@@ -56,6 +57,15 @@ def test_is_symplectic_examples():
     assert not is_symplectic(corrupted)
     with pytest.raises(ValueError):
         is_symplectic(exact.identity(3))
+
+
+def test_is_symplectic_accepts_numpy_arrays():
+    assert is_symplectic(np.eye(4, dtype=int)) is True
+    block = np.array([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, -1, 1]])   # diag(A, t(A)^-1)
+    assert is_symplectic(block) is True
+    corrupted = np.eye(4, dtype=int)
+    corrupted[2, 1] = 1                            # C block entry (g+1, 2)
+    assert is_symplectic(corrupted) is False
 
 
 def test_constructor_rejects_non_symplectic():

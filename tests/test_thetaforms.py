@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from siegelkit import thetaforms
 from siegelkit.symplectic import gl_embedding, j_matrix, translation
 from siegelkit.siegelspace import SiegelPoint, cocycle, moebius_act
 from siegelkit.fourier import HalfIntegralMatrix
@@ -116,6 +118,42 @@ def test_lattice_fixtures():
         LatticeGram("indef", 2, ((2, 3), (3, 2)))
 
 
+@st.composite
+def even_grams(draw):
+    rank = draw(st.integers(2, 4))
+    gram = np.zeros((rank, rank), dtype=np.int64)
+    for i in range(rank):
+        gram[i, i] = 2 * draw(st.integers(1, 5))
+        for j in range(i):
+            gram[i, j] = gram[j, i] = draw(st.integers(-3, 3))
+    assume(np.linalg.eigvalsh(gram)[0] > 0.2)
+    return gram
+
+
+@settings(max_examples=150, deadline=None)
+@given(gram=even_grams(), bound=st.integers(0, 8))
+def test_short_vectors_match_box_enumeration(gram, bound):
+    lattice = LatticeGram("random", len(gram), gram.tolist())
+    # |x_i| <= sqrt(bound * (G^-1)_ii) on the ellipsoid; the box is in lex order
+    half = np.floor(np.sqrt(bound * np.diag(np.linalg.inv(gram))) + 1).astype(int)
+    axes = [np.arange(-h, h + 1) for h in half]
+    box = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+    norms = np.array([lattice.norm(x) for x in box.tolist()])
+    expected = box[norms <= bound]
+    got = short_vectors(lattice, bound)
+    assert got.dtype == np.int64 and not got.flags.writeable
+    assert got.shape == expected.shape and np.array_equal(got, expected)
+
+
+def test_rank16_shells_at_bound_6():
+    # 480 sigma_7(n) vectors of norm 2n in an even unimodular rank-16 lattice
+    for name in ("e8e8", "e16"):
+        lattice = named_lattice(name)
+        vecs = short_vectors(lattice, 6)
+        norms = np.einsum("ni,ij,nj->n", vecs, np.array(lattice.gram), vecs)
+        assert np.bincount(norms)[::2].tolist() == [1, 480, 61920, 1050240]
+
+
 def test_lattice_theta_coefficients():
     e8 = named_lattice("e8")
     f = lattice_theta_coefficients(e8, 1, 3)
@@ -159,6 +197,16 @@ def test_schottky_truncations_vanish():
 def test_chi10_normalization_confirms_classical_constant():
     c = chi10_normalization()
     assert c == -(2.0 ** -14)
+
+
+def test_chi10_normalization_raises_on_a_miss(monkeypatch):
+    product = thetaforms._even_theta_product
+    monkeypatch.setattr(thetaforms, "_even_theta_product",
+                        lambda tau, trunc, square: 1.5 * product(tau, trunc, square))
+    monkeypatch.setattr(thetaforms, "_CHI10_CALIBRATION", {})
+    with pytest.raises(RuntimeError, match="estimate"):
+        chi10_normalization()
+    assert thetaforms._CHI10_CALIBRATION == {}
 
 
 def test_chi10_leading_development():
