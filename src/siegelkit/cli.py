@@ -2,7 +2,10 @@
 machine-readable outputs.
 
 Exit codes: 0 all checks pass, 1 a check failed (diagnostics as JSON on
-stdout), 2 usage error.  A fixed --seed controls every randomized sample.
+stdout), 2 usage error, 3 numerical failure (a finite-difference step that
+fails the Richardson test, a failed factorization or solve, or another
+runtime failure).  Errors 2 and 3 print a JSON error on stderr.  A fixed
+--seed controls every randomized sample.
 """
 
 import argparse
@@ -164,7 +167,7 @@ def _cmd_named_form(args):
         _emit(args, payload)
         return 0
     if not args.tau:
-        raise SystemExit("named-form chi10/chi18 needs --tau")
+        raise ValueError("named-form chi10/chi18 needs --tau")
     tau = _parse_tau(args.tau)
     if args.name == "chi10":
         value = thetaforms.chi10(tau)
@@ -348,17 +351,24 @@ def build_parser():
     return parser
 
 
+def _error(err, code):
+    print(json.dumps({"error": str(err)}), file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # the order matters: TruncationError and NotImplementedError are
+    # RuntimeErrors, and LinAlgError is a ValueError
     try:
         return args.func(args)
-    except (ValueError, NotImplementedError, thetaforms.TruncationError) as err:
-        print(json.dumps({"error": str(err)}), file=sys.stderr)
-        return 2
-    except hodge.StepSizeError as err:
-        print(json.dumps({"error": str(err)}), file=sys.stderr)
-        return 1
+    except (thetaforms.TruncationError, NotImplementedError) as err:
+        return _error(err, 2)
+    except (hodge.StepSizeError, np.linalg.LinAlgError, RuntimeError) as err:
+        return _error(err, 3)
+    except ValueError as err:
+        return _error(err, 2)
 
 
 if __name__ == "__main__":

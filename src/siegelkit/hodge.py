@@ -2,9 +2,17 @@
 
 The metric on tangent directions is obtained by pushing a direction through
 the derivative of the Hodge filtration (the Higgs map) and taking the inner
-product induced by the polarization and the Weil operator.  Everything that
-involves derivatives of the metric is verified by central finite differences;
-a Richardson step-halving comparison guards against roundoff-dominated steps.
+product psi(C u, conj v) induced by the polarization and the Weil operator C.
+One private kernel evaluates these pairings for a whole stack of points tau:
+a single batched solve against [F, conj F], F = (tau; I), gives both the
+Weil operator and the H^{0,1}-components that the Higgs map needs.
+
+Everything that involves derivatives of the metric is verified by central
+finite differences.  Each stencil (the +-h and +-ih legs, the 4 x 4 mixed
+legs at h and h/2, the nested curvature stencil) is built as one stacked
+array of shifted tau, evaluated in one kernel call and combined with fixed
+weights; every stencil point is checked like a base point.  A Richardson
+step-halving comparison guards against roundoff-dominated steps.
 """
 
 from dataclasses import dataclass
@@ -21,6 +29,13 @@ from .siegelspace import (
 )
 
 DECOMPOSITION_COND_LIMIT = 1e8
+
+# central differences along a coordinate direction X: values at tau + c h X for
+# c in _LEGS, weighted by _D_DZ (resp. _D_DZBAR) and divided by h, give
+# d/dz = (d/dx - i d/dy) / 2 (resp. d/dzbar = (d/dx + i d/dy) / 2)
+_LEGS = np.array([1, -1, 1j, -1j])
+_D_DZ = np.array([1, -1, -1j, 1j]) / 4
+_D_DZBAR = np.array([1, -1, 1j, -1j]) / 4
 
 
 class StepSizeError(ArithmeticError):
@@ -80,99 +95,84 @@ class HiggsElement:
         return float(np.max(np.abs(self.matrix - self.matrix.T)))
 
 
-def _higgs_coefficients(tau: SiegelPoint, x: TangentDirection):
-    """Coefficients B of the filtration derivative in the conj(F) frame.
+def kodaira_spencer(tau: SiegelPoint, x: TangentDirection) -> HiggsElement:
+    """Derivative of the Hodge filtration along X, as a Higgs element.
 
-    d/dt F^1_{tau + tX} at t = 0 has column derivatives (X; 0); B holds their
-    H^{0,1}-components, so the actual map sends F a to conj(F) (B a).
+    d/dt F^1_{tau + tX} at t = 0 has column derivatives (X; 0); their
+    H^{0,1}-components B say that the map sends F a to conj(F) (B a).
     """
     structure = HodgeStructureW1.from_tau(tau)
-    w = np.vstack([x.X, np.zeros((tau.g, tau.g))])
-    _, b = structure.decompose(w)
-    return structure, b
-
-
-def kodaira_spencer(tau: SiegelPoint, x: TangentDirection) -> HiggsElement:
-    """Derivative of the Hodge filtration along X, as a Higgs element."""
-    structure, b = _higgs_coefficients(tau, x)
+    _, b = structure.decompose(np.vstack([x.X, np.zeros((tau.g, tau.g))]))
     f = structure.F1.basis
-    j = j_matrix_float(tau.g)
     image = f.conj() @ b                    # columns theta(X) f_j in V_C
-    s = image.T @ j @ f                     # psi(theta(X) f_j, f_k)
+    s = image.T @ j_matrix_float(tau.g) @ f  # psi(theta(X) f_j, f_k)
     return HiggsElement(tau.g, s)
 
 
-def _orthonormal_frame(structure: HodgeStructureW1):
-    """Coefficient matrix S with columns giving an H-orthonormal basis F S."""
-    f = structure.F1.basis
-    g = structure.g
-    gram = np.empty((g, g), dtype=complex)
-    for jj in range(g):
-        for kk in range(g):
-            gram[jj, kk] = hodge_inner(structure, f[:, jj], f[:, kk])
-    gram = (gram + gram.conj().T) / 2
-    chol = np.linalg.cholesky(gram)
-    return np.linalg.inv(chol).conj().T
+# --- the stacked kernel --------------------------------------------------------
+
+
+def _frame_grams(taus):
+    """Gram matrices under psi(C u, conj v) of the frame (F, conj(F) B), stacked.
+
+    ``taus`` has shape (P, g, g).  F = (tau; I) spans E^{1,0} = F^1; B holds
+    the H^{0,1}-components of the first g coordinate vectors, so conj(F) B
+    represents E^{0,1} = V/F^1, and conj(F) B X is the Higgs image of F along
+    X.  One batched solve against [F, conj F] gives B and the Weil operator
+    C = [F, conj F] diag(i, -i) [F, conj F]^{-1}.  Every point is checked for
+    Im tau > 0 and for a well-conditioned splitting V_C = F^1 + conj(F^1).
+    """
+    taus = np.asarray(taus, dtype=complex)
+    g = taus.shape[-1]
+    if np.min(np.linalg.eigvalsh(taus.imag)) <= 0:
+        raise ValueError("Im(tau) must be positive definite at every point")
+    f = np.concatenate([taus, np.broadcast_to(np.eye(g), taus.shape)], axis=-2)
+    split = np.concatenate([f, f.conj()], axis=-1)
+    if np.max(np.linalg.cond(split)) > DECOMPOSITION_COND_LIMIT:
+        raise ValueError("F^1 and conj(F^1) do not split V_C (ill-conditioned)")
+    coeffs = np.linalg.inv(split)
+    weil = split @ (np.repeat([1j, -1j], g)[:, None] * coeffs)
+    frame = np.concatenate([f, f.conj() @ coeffs[:, g:, :g]], axis=-1)
+    return (weil @ frame).swapaxes(-1, -2) @ j_matrix_float(g) @ frame.conj()
+
+
+def _metric_stack(taus, dirs):
+    """Hodge metric matrices (P, m, m) against the directions ``dirs`` (m, g, g).
+
+    Entry (k, l) sums the pairings of the Higgs images of an H-orthonormal
+    frame F S of F^1 along X_k and X_l.  With G the Gram matrix of F and Q
+    that of conj(F) B, and S S* = G^{-1}, it is Tr(t(X_k) Q conj(X_l) conj(G^{-1})).
+    """
+    g = dirs.shape[-1]
+    grams = _frame_grams(taus)
+    frame = grams[:, :g, :g]
+    frame_inv = np.linalg.inv((frame + frame.conj().swapaxes(-1, -2)) / 2)
+    out = np.einsum("kba,pbc,lcd,pda->pkl", dirs, grams[:, g:, g:], dirs.conj(), frame_inv.conj())
+    return (out + out.conj().swapaxes(-1, -2)) / 2
+
+
+def _basis_stack(g):
+    return np.array([x.X for x in tangent_basis(g)])
+
+
+def _legs(coeffs, dirs):
+    """Offsets c X for each direction X (axis 0) and coefficient c (axis 1)."""
+    return coeffs[None, :, None, None] * dirs[:, None]
+
+
+def _check_step(h):
+    if not (1e-6 <= h <= 1e-2):
+        raise ValueError("step must lie in [1e-6, 1e-2]")
 
 
 def hodge_metric_tangent(tau: SiegelPoint, x: TangentDirection, y: TangentDirection) -> complex:
     """Inner product of Higgs images, in the metric induced on Hom(H^{1,0}, H^{0,1})."""
-    structure, bx = _higgs_coefficients(tau, x)
-    _, by = _higgs_coefficients(tau, y)
-    fbar = structure.F1.basis.conj()
-    s = _orthonormal_frame(structure)
-    total = 0j
-    for a in range(tau.g):
-        u = s[:, a]
-        total += hodge_inner(structure, fbar @ (bx @ u), fbar @ (by @ u))
-    return complex(total)
+    return complex(_metric_stack(tau.tau[None], np.array([x.X, y.X]))[0, 0, 1])
 
 
 def hodge_metric_matrix(tau: SiegelPoint):
     """Matrix of the induced metric against the coordinate tangent directions."""
-    basis = tangent_basis(tau.g)
-    m = len(basis)
-    out = np.empty((m, m), dtype=complex)
-    for i in range(m):
-        for j in range(m):
-            out[i, j] = hodge_metric_tangent(tau, basis[i], basis[j])
-    return (out + out.conj().T) / 2
-
-
-# --- finite-difference machinery ---------------------------------------------
-
-
-def _shift(tau: SiegelPoint, direction: np.ndarray, delta: complex) -> SiegelPoint:
-    return SiegelPoint(tau.g, tau.tau + delta * direction)
-
-
-def _holomorphic_derivative(func, tau, direction, h):
-    """d/dz along a coordinate direction: (d/dx - i d/dy) / 2, central."""
-    fx = (func(_shift(tau, direction, h)) - func(_shift(tau, direction, -h))) / (2 * h)
-    fy = (func(_shift(tau, direction, 1j * h)) - func(_shift(tau, direction, -1j * h))) / (2 * h)
-    return (fx - 1j * fy) / 2
-
-
-def _antiholomorphic_derivative(func, tau, direction, h):
-    fx = (func(_shift(tau, direction, h)) - func(_shift(tau, direction, -h))) / (2 * h)
-    fy = (func(_shift(tau, direction, 1j * h)) - func(_shift(tau, direction, -1j * h))) / (2 * h)
-    return (fx + 1j * fy) / 2
-
-
-def _mixed_second_derivative(func, tau, dir_a, dir_b, h):
-    """d^2/(dz_a dzbar_b) by composing real-direction central differences."""
-    def second(da, db):
-        # 4-point stencil; collapses to a step-2h second difference when the
-        # two real legs coincide, which is still second-order correct
-        pp = func(_shift(_shift(tau, da[0], da[1] * h), db[0], db[1] * h))
-        pm = func(_shift(_shift(tau, da[0], da[1] * h), db[0], -db[1] * h))
-        mp = func(_shift(_shift(tau, da[0], -da[1] * h), db[0], db[1] * h))
-        mm = func(_shift(_shift(tau, da[0], -da[1] * h), db[0], -db[1] * h))
-        return (pp - pm - mp + mm) / (4 * h * h)
-
-    xa, ya = (dir_a, 1.0), (dir_a, 1j)
-    xb, yb = (dir_b, 1.0), (dir_b, 1j)
-    return (second(xa, xb) + second(ya, yb) + 1j * (second(xa, yb) - second(ya, xb))) / 4
+    return _metric_stack(tau.tau[None], _basis_stack(tau.g))[0]
 
 
 def kahler_einstein_check(tau_samples, h=1e-3):
@@ -183,46 +183,35 @@ def kahler_einstein_check(tau_samples, h=1e-3):
     Raises StepSizeError when halving the step moves the constants by more
     than the expected truncation behaviour allows.
     """
-    if not (1e-6 <= h <= 1e-2):
-        raise ValueError("step must lie in [1e-6, 1e-2]")
+    _check_step(h)
     lambdas = []
     dw_residual = 0.0
     einstein_residual = 0.0
     for tau in tau_samples:
-        basis = tangent_basis(tau.g)
-        dirs = [x.X for x in basis]
-        m = len(dirs)
-
-        metric = hodge_metric_matrix
+        dirs = _basis_stack(tau.g)
+        m, g = len(dirs), tau.g
+        steps = np.array([h, h / 2])
+        legs = np.array([_legs(s * _LEGS, dirs) for s in steps])   # (step, X, leg, g, g)
+        # d(omega) needs the legs along each X_a at h; Ricci = d^2 log det /
+        # (dz_a dzbar_b) needs the 4 x 4 legs along X_a and X_b at h and h/2.
+        # Coinciding real legs collapse to a step-2h second difference, which
+        # is still second-order correct.
+        first = tau.tau + legs[0]
+        mixed = tau.tau + legs[:, :, None, :, None] + legs[:, None, :, None, :]
+        metrics = _metric_stack(np.concatenate([first.reshape(-1, g, g), mixed.reshape(-1, g, g)]), dirs)
 
         # d(omega) = 0 reduces to the symmetry of holomorphic derivatives
-        grads = [_holomorphic_derivative(metric, tau, d, h) for d in dirs]
-        for gamma in range(m):
-            for alpha in range(gamma):
-                for beta in range(m):
-                    dw_residual = max(
-                        dw_residual, abs(grads[gamma][alpha, beta] - grads[alpha][gamma, beta])
-                    )
+        grads = np.einsum("cpab,p->cab", metrics[: 4 * m].reshape(m, 4, m, m), _D_DZ) / h
+        dw_residual = max(dw_residual, float(np.max(np.abs(grads - grads.swapaxes(0, 1)))))
 
-        def log_det(point):
-            return np.log(np.linalg.det(hodge_metric_matrix(point)).real)
-
-        def einstein_constant(step):
-            ric = np.empty((m, m), dtype=complex)
-            for aa in range(m):
-                for bb in range(m):
-                    ric[aa, bb] = _mixed_second_derivative(log_det, tau, dirs[aa], dirs[bb], step)
-            gmat = metric(tau)
-            lam = float(np.trace(np.linalg.solve(gmat, ric)).real / m)
-            resid = float(np.max(np.abs(ric - lam * gmat)))
-            return lam, resid
-
-        lam, resid = einstein_constant(h)
-        lam_half, _ = einstein_constant(h / 2)
+        log_det = np.linalg.slogdet(metrics[4 * m:])[1].reshape(2, m, m, 4, 4)
+        ric = np.einsum("sabpq,p,q->sab", log_det, _D_DZ, _D_DZBAR) / (steps**2)[:, None, None]
+        gmat = hodge_metric_matrix(tau)
+        lam, lam_half = np.trace(np.linalg.solve(gmat, ric), axis1=1, axis2=2).real / m
         if abs(lam - lam_half) > 0.05 * max(abs(lam), 1e-12):
             raise StepSizeError("Richardson disagreement: step too small or too large")
-        lambdas.append(lam)
-        einstein_residual = max(einstein_residual, resid)
+        lambdas.append(float(lam))
+        einstein_residual = max(einstein_residual, float(np.max(np.abs(ric[0] - lam * gmat))))
     return {
         "lambda": lambdas,
         "dw_residual": dw_residual,
@@ -240,27 +229,12 @@ def _hodge_bundle_gram(tau: SiegelPoint):
     carries the classes of the first g coordinate vectors, represented by
     their H^{0,1}-components.
     """
-    structure = HodgeStructureW1.from_tau(tau)
-    g = tau.g
-    f = structure.F1.basis
-    reps = []
-    for jj in range(g):
-        v = np.zeros(2 * g, dtype=complex)
-        v[jj] = 1
-        _, b = structure.decompose(v)
-        reps.append(f.conj() @ b)
-    vectors = [f[:, jj] for jj in range(g)] + reps
-    gram = np.empty((2 * g, 2 * g), dtype=complex)
-    for jj in range(2 * g):
-        for kk in range(2 * g):
-            gram[jj, kk] = hodge_inner(structure, vectors[jj], vectors[kk])
-    return gram
+    return _frame_grams(tau.tau[None])[0]
 
 
-def _adjoint_in_frame(p, gram):
-    """Adjoint of an operator matrix under <u, v> = t(u) G conj(v)."""
-    gbar = gram.conj()
-    return np.linalg.solve(gbar, p.conj().T @ gbar)
+def _commutator_residual(mats):
+    products = mats[:, None] @ mats[None]
+    return float(np.max(np.abs(products - products.swapaxes(0, 1))))
 
 
 def higgs_curvature_identity_check(tau: SiegelPoint, h=1e-3):
@@ -274,58 +248,32 @@ def higgs_curvature_identity_check(tau: SiegelPoint, h=1e-3):
     """
     if tau.g > 2:
         raise ValueError("curvature check is guarded to g <= 2")
+    _check_step(h)
     g = tau.g
-    basis = tangent_basis(g)
-    m = len(basis)
-    two_g = 2 * g
+    dirs = _basis_stack(g)
+    m = len(dirs)
 
-    def gram(point):
-        return _hodge_bundle_gram(point)
+    # Theta_{gamma delta} = -dbar_delta(G^{-1} d_gamma G): the legs along X_delta,
+    # and at each of them the point itself and the legs along X_gamma
+    outer = _legs(h * _LEGS, dirs)
+    inner = _legs(h * np.concatenate([[0], _LEGS]), dirs)
+    stencil = tau.tau + outer[None, :, :, None] + inner[:, None, None, :]
+    grams = _frame_grams(stencil.reshape(-1, g, g)).reshape(m, m, 4, 5, 2 * g, 2 * g)
+    d_gram = np.einsum("cdqpij,p->cdqij", grams[:, :, :, 1:], _D_DZ) / h
+    connection = np.linalg.solve(grams[:, :, :, 0], d_gram)
+    curv = -np.einsum("cdqij,q->cdij", connection, _D_DZBAR) / h
 
-    def connection(direction):
-        def a_form(point):
-            gm = gram(point)
-            dg = _holomorphic_derivative(gram, point, direction, h)
-            return np.linalg.solve(gm, dg)
-        return a_form
+    theta = np.zeros((m, 2 * g, 2 * g), dtype=complex)
+    theta[:, g:, :g] = dirs        # quotient-frame matrix of theta(X) is X itself
+    # adjoint under <u, v> = t(u) G conj(v)
+    gbar = _hodge_bundle_gram(tau).conj()
+    theta_star = np.linalg.solve(gbar, theta.conj().swapaxes(-1, -2) @ gbar)
+    rhs = -(theta[:, None] @ theta_star[None] - theta_star[None] @ theta[:, None])
 
-    gram0 = gram(tau)
-    theta_mats = []
-    for x in basis:
-        full = np.zeros((two_g, two_g), dtype=complex)
-        full[g:, :g] = x.X        # quotient-frame matrix of theta(X) is X itself
-        theta_mats.append(full)
-    theta_star_mats = [_adjoint_in_frame(t, gram0) for t in theta_mats]
-
-    curvature_residual = 0.0
-    for gamma in range(m):
-        a_gamma = connection(basis[gamma].X)
-        for delta in range(m):
-            curv = -_antiholomorphic_derivative(a_gamma, tau, basis[delta].X, h)
-            rhs = -(theta_mats[gamma] @ theta_star_mats[delta]
-                    - theta_star_mats[delta] @ theta_mats[gamma])
-            curvature_residual = max(curvature_residual, float(np.max(np.abs(curv - rhs))))
-
-    wedge_residual = 0.0
-    for a in range(m):
-        for b in range(m):
-            wedge_residual = max(
-                wedge_residual,
-                float(np.max(np.abs(theta_mats[a] @ theta_mats[b] - theta_mats[b] @ theta_mats[a]))),
-            )
-    star_wedge_residual = 0.0
-    for a in range(m):
-        for b in range(m):
-            star_wedge_residual = max(
-                star_wedge_residual,
-                float(np.max(np.abs(
-                    theta_star_mats[a] @ theta_star_mats[b] - theta_star_mats[b] @ theta_star_mats[a]
-                ))),
-            )
-    sym_residual = max(kodaira_spencer(tau, x).symmetry_defect() for x in basis)
+    sym_residual = max(kodaira_spencer(tau, x).symmetry_defect() for x in tangent_basis(g))
     return {
-        "curvature_residual": curvature_residual,
-        "wedge_residual": wedge_residual,
-        "star_wedge_residual": star_wedge_residual,
+        "curvature_residual": float(np.max(np.abs(curv - rhs))),
+        "wedge_residual": _commutator_residual(theta),
+        "star_wedge_residual": _commutator_residual(theta_star),
         "sym_square_residual": sym_residual,
     }

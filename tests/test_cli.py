@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+from siegelkit import hodge, thetaforms
 from siegelkit.cli import main
 from siegelkit.thetaforms import lattice_theta_coefficients, named_lattice
 from siegelkit.fourier import siegel_phi
@@ -109,6 +111,27 @@ def test_usage_errors(capsys):
     # chi18 needs a degree-3 point
     code = main(["named-form", "--name", "chi18", "--tau", "[[[0,1]]]"])
     assert code == 2
+    capsys.readouterr()
+    code = main(["named-form", "--name", "chi10"])
+    assert code == 2
+    assert "--tau" in json.loads(capsys.readouterr().err)["error"]
+
+
+@pytest.mark.parametrize("error, code", [
+    (np.linalg.LinAlgError("Matrix is not positive definite"), 3),
+    (hodge.StepSizeError("Richardson disagreement"), 3),
+    (RuntimeError("no convergence"), 3),
+    (thetaforms.TruncationError("radius too small"), 2),
+])
+def test_numerical_failure_exit_code(capsys, monkeypatch, error, code):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(hodge, "hodge_metric_tangent", fail)
+    assert main(["metric-check", "--samples", "1", "--directions", "1"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": str(error)}
 
 
 def test_boundary_growth_cli(capsys):

@@ -15,8 +15,11 @@ from siegelkit.siegelspace import (
 )
 from siegelkit.hodge import (
     HodgeStructureW1,
+    _frame_grams,
+    _metric_stack,
     higgs_curvature_identity_check,
     hodge_inner,
+    hodge_metric_matrix,
     hodge_metric_tangent,
     kahler_einstein_check,
     kodaira_spencer,
@@ -93,6 +96,39 @@ def test_metric_zero_direction_and_invariance():
     assert abs(after - before) <= 1e-8 * abs(before)
 
 
+def _reference_grams(tau):
+    """Per-entry reference: the frame Gram matrix of E and the Hodge metric
+    matrix, one decomposition and one hodge_inner per entry."""
+    g = tau.g
+    st = HodgeStructureW1.from_tau(tau)
+    f = st.F1.basis
+    reps = [f.conj() @ st.decompose(np.eye(2 * g)[:, j])[1] for j in range(g)]
+    vectors = [f[:, j] for j in range(g)] + reps
+    bundle = np.array([[hodge_inner(st, u, v) for v in vectors] for u in vectors])
+    frame = bundle[:g, :g]
+    s = np.linalg.inv(np.linalg.cholesky((frame + frame.conj().T) / 2)).conj().T
+    images = [f.conj() @ st.decompose(np.vstack([x.X, np.zeros((g, g))]))[1] @ s
+              for x in tangent_basis(g)]
+    metric = np.array([[sum(hodge_inner(st, u[:, a], v[:, a]) for a in range(g)) for v in images]
+                       for u in images])
+    return bundle, (metric + metric.conj().T) / 2
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_kernel_matches_per_entry_reference(g):
+    rng = np.random.default_rng(30 + g)
+    taus = [random_siegel_point(g, rng) for _ in range(4)]
+    dirs = np.array([x.X for x in tangent_basis(g)])
+    stacked_bundle = _frame_grams(np.array([t.tau for t in taus]))
+    stacked_metric = _metric_stack(np.array([t.tau for t in taus]), dirs)
+    for k, tau in enumerate(taus):
+        bundle, metric = _reference_grams(tau)
+        for got in (stacked_bundle[k], _frame_grams(tau.tau[None])[0]):
+            assert np.max(np.abs(got - bundle)) <= 1e-12 * np.max(np.abs(bundle))
+        for got in (stacked_metric[k], hodge_metric_matrix(tau)):
+            assert np.max(np.abs(got - metric)) <= 1e-12 * np.max(np.abs(metric))
+
+
 def test_kahler_einstein_g1_closed_form():
     report = kahler_einstein_check([SiegelPoint.scaled_identity(1),
                                     SiegelPoint.scaled_identity(1, 1.7)])
@@ -122,6 +158,26 @@ def test_kahler_einstein_step_guard():
         kahler_einstein_check([SiegelPoint.scaled_identity(1)], h=1e-7)
     with pytest.raises(ValueError):
         kahler_einstein_check([SiegelPoint.scaled_identity(1)], h=0.5)
+
+
+def test_kernel_checks_every_point():
+    good = 1j * np.eye(2)
+    with pytest.raises(ValueError, match="positive definite"):
+        _frame_grams(np.array([good, good, -good]))
+    with pytest.raises(ValueError, match="ill-conditioned"):
+        _frame_grams(np.array([good, 1e-9 * good]))
+
+
+def test_kahler_einstein_stencil_leaves_siegel_space():
+    # the -ih legs of the stencil at Im tau = 5e-3 I have Im tau < 0
+    with pytest.raises(ValueError):
+        kahler_einstein_check([SiegelPoint.scaled_identity(2, 5e-3)], h=1e-2)
+
+
+def test_curvature_step_guard():
+    for h in (1e-12, 0.5):
+        with pytest.raises(ValueError):
+            higgs_curvature_identity_check(SiegelPoint.scaled_identity(2), h=h)
 
 
 def test_curvature_identity():
