@@ -4,26 +4,25 @@ constants squared), the degree-3 weight-18 form (product of the 36 even theta
 constants), and the weight-8 difference of the two rank-16 even unimodular
 theta series.
 
-Lattice coefficients are exact integers obtained by a Fincke-Pohst
-enumeration over an exact (rational Cholesky) decomposition of the Gram
-matrix, expanded level by level: each step fixes one more coordinate for the
-whole frontier of partial vectors at once, in numpy.  Floating point only
-seeds the coordinate ranges and prunes the frontier; membership is always
-decided by exact integer arithmetic.
+Lattice coefficients are exact integers.  Short vectors come from a
+Fincke-Pohst enumeration over an exact (rational Cholesky) decomposition of the
+Gram matrix, expanded level by level over the whole frontier in numpy; floating
+point only seeds the coordinate ranges and prunes, and membership is decided
+by exact integer arithmetic.  One tally kernel then counts genus-g tuples of
+them for g = 1..3 by a bincount of mixed-radix codes of their inner products.
 """
 
 import cmath
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
 from . import exact
-from .fourier import FourierExpansion, HalfIntegralMatrix
+from .fourier import FourierExpansion
 from .siegelspace import SiegelPoint
 
 
@@ -294,69 +293,67 @@ def short_vectors(lattice: LatticeGram, bound: int):
     return keep
 
 
-def _pair_tallies(gram_np, x1, x2, n1, n2):
-    """Counts of 2A = ((n1, r), (r, n2)) over ordered pairs from two classes."""
-    values, counts = np.unique(x1 @ gram_np @ x2.T, return_counts=True)
-    return Counter({(n1, v, n2): c for v, c in zip(values.tolist(), counts.tolist())})
+# codes per bincount pass, rounded to whole vectors of the first class
+TALLY_CHUNK = 1 << 16
 
 
 def lattice_theta_coefficients(lattice: LatticeGram, genus: int, trace_bound: int) -> FourierExpansion:
     """Exact coefficients c(A) = #{(x_1..x_genus) : Gram(x_i, x_j) = 2A}.
 
     The support covers every half-integral A with Tr(2A) <= 2 * trace_bound;
-    weight is rank/2 at level 1.  Rank-16 lattices are guarded to genus <= 2
-    and all lattices to genus <= 3 and trace_bound <= 8 (cost).
+    weight is rank/2 at level 1.  One kernel serves every genus: per tuple of
+    norm classes (n_1..n_genus) with sum <= 2 * trace_bound, each pair i < j
+    gives one digit t(x_i) G x_j + trace_bound of a mixed-radix code, which
+    Cauchy-Schwarz keeps in 0..2 * trace_bound; the codes are filled by
+    broadcasting and counted by bincount, TALLY_CHUNK at a time.  Cost guards:
+    genus <= 3 and trace_bound <= 8, and genus <= 2 and trace_bound <= 4 at
+    rank 16 (trace 5 would enumerate 46.5M vectors).
     """
     if genus < 1:
         raise ValueError("genus must be >= 1")
     if trace_bound < 1 or trace_bound > 8:
         raise ValueError("trace_bound must be in 1..8")
-    if lattice.rank >= 16 and genus > 2:
-        raise ValueError("rank-16 lattices are guarded to genus <= 2")
+    if lattice.rank >= 16 and (genus > 2 or trace_bound > 4):
+        raise ValueError("rank-16 lattices are guarded to genus <= 2 and trace_bound <= 4")
     if genus > 3:
         raise ValueError("genus is guarded to <= 3")
     bound = 2 * trace_bound
     gram_np = np.array(lattice.gram, dtype=np.int64)
     vecs = short_vectors(lattice, bound)
     vec_norms = np.einsum("ni,ni->n", vecs @ gram_np, vecs)
-    counts = np.bincount(vec_norms)
-    norms = np.flatnonzero(counts).tolist()
-    if genus == 1:
-        tally = Counter({(n,): int(counts[n]) for n in norms})
-    else:
-        classes = {n: vecs[vec_norms == n] for n in norms}
-        tally = Counter()
-    if genus == 2:
-        for n1 in norms:
-            for n2 in norms:
-                if n1 + n2 > bound:
-                    continue
-                tally.update(_pair_tallies(gram_np, classes[n1], classes[n2], n1, n2))
-    elif genus == 3:
-        offset = 2 * bound + 1
-        span = 2 * offset + 1
-        for n1 in norms:
-            for n2 in norms:
-                for n3 in norms:
-                    if n1 + n2 + n3 > bound:
-                        continue
-                    x1, x2, x3 = classes[n1], classes[n2], classes[n3]
-                    r23 = x2 @ gram_np @ x3.T
-                    r12_all = x1 @ gram_np @ x2.T
-                    r13_all = x1 @ gram_np @ x3.T
-                    for idx in range(len(x1)):
-                        codes = ((r12_all[idx][:, None] + offset) * span * span
-                                 + (r13_all[idx][None, :] + offset) * span
-                                 + (r23 + offset))
-                        values, counts = np.unique(codes, return_counts=True)
-                        for v, c in zip(values.tolist(), counts.tolist()):
-                            r12 = v // (span * span) - offset
-                            rem = v % (span * span)
-                            r13 = rem // span - offset
-                            r23v = rem % span - offset
-                            tally[(n1, r12, r13, n2, r23v, n3)] += c
-    coeffs = {HalfIntegralMatrix.from_key(genus, key): count for key, count in sorted(tally.items())}
-    return FourierExpansion(genus, 1, lattice.rank // 2, coeffs, trace_bound=bound)
+    sizes = np.bincount(vec_norms)
+    pairs = list(combinations(range(genus), 2))
+    radix = bound + 1
+    weights = [radix ** (len(pairs) - 1 - p) for p in range(len(pairs))]
+
+    @lru_cache(maxsize=None)
+    def rows(n):                          # the class of norm n, gathered only for a pair product
+        return vecs[vec_norms == n]
+
+    def digits(left, n, i, j, weight):    # weight * t(x_i) G x_j for x_j of norm n, on axes i and j
+        return weight * np.expand_dims(left @ gram_np @ rows(n).T, tuple(set(range(genus)) - {i, j}))
+
+    tally = {}
+    for combo in product(np.flatnonzero(sizes).tolist(), repeat=genus):
+        if sum(combo) > bound:
+            continue
+        shape = [int(sizes[n]) for n in combo]
+        # pairs within the later axes once; pairs with the first, per chunk
+        code = trace_bound * sum(weights) + sum(digits(rows(combo[i]), combo[j], i, j, w)
+                                                for (i, j), w in zip(pairs, weights) if i)
+        step = max(1, TALLY_CHUNK // math.prod(shape[1:]))
+        counts = 0
+        for start in range(0, shape[0], step):
+            chunk = code + sum(digits(rows(combo[0])[start:start + step], combo[j], 0, j, w)
+                               for (i, j), w in zip(pairs, weights) if not i)
+            # every cell is one tuple, except at genus 1: no pairs, one code for the whole chunk
+            per_code = min(step, shape[0] - start) * math.prod(shape[1:]) // np.size(chunk)
+            counts = counts + per_code * np.bincount(np.ravel(chunk), minlength=radix ** len(pairs))
+        for value in np.flatnonzero(counts).tolist():
+            off = iter([value // w % radix - trace_bound for w in weights])
+            key = tuple(combo[i] if i == j else next(off) for i in range(genus) for j in range(i, genus))
+            tally[key] = int(counts[value])
+    return FourierExpansion(genus, 1, lattice.rank // 2, dict(sorted(tally.items())), trace_bound=bound)
 
 
 def schottky_chi8_coefficients(genus: int, trace_bound: int) -> FourierExpansion:

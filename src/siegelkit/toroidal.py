@@ -216,9 +216,9 @@ def dual_monoid_generators(cone: ConeSigma, level: int):
 class MonomialChartMap:
     """Inclusion of level-m chart coordinates into the level-n chart, m | n.
 
-    Each target coordinate (the character of delta_a / m) pulls back to the
-    (n/m)-th power of the matching source coordinate, so the exponent map is
-    (n/m) times the identity on dual generators.
+    Row a of the exponents writes the target coordinate (the character of
+    delta_a / m) as a monomial in the source coordinates (the characters of
+    the delta_b / n).
     """
 
     source_level: int
@@ -245,22 +245,23 @@ class MonomialChartMap:
 
 
 def monomial_map(n: int, m: int, cone: ConeSigma) -> MonomialChartMap:
-    """The chart map of levels m | n over a smooth top cone."""
+    """The chart map of levels m | n over a smooth top cone.
+
+    The exponents E solve G_m = E G_n exactly, where the rows of G_k are the
+    level-k dual monoid generators.
+    """
     if m < 1 or n % m:
         raise ValueError("m must divide n")
-    gens = dual_monoid_generators(cone, 1)   # smoothness check; directions are shared
-    k = len(gens)
-    factor = n // m
-    exps = tuple(tuple(factor if i == j else 0 for j in range(k)) for i in range(k))
-    return MonomialChartMap(n, m, exps)
+    exps = exact.mat_mul(dual_monoid_generators(cone, m), exact.inverse(dual_monoid_generators(cone, n)))
+    return MonomialChartMap(n, m, exact.to_exact(exps))
 
 
 def verify_divisor_pullback(n: int, m: int, cone: ConeSigma):
     """Pullback multiplicity of each coordinate hyperplane divisor, per ray.
 
     For the level-change chart map each target coordinate divisor pulls back
-    with the exponent of the corresponding monomial; the table must be
-    constant n/m.
+    with the exponent of the corresponding monomial, read off the derived
+    exponent map; the table must be constant n/m.
     """
     chart = monomial_map(n, m, cone)
     table = tuple(chart.exponents[i][i] for i in range(len(chart.exponents)))

@@ -117,6 +117,17 @@ def test_usage_errors(capsys):
     assert "--tau" in json.loads(capsys.readouterr().err)["error"]
 
 
+def test_rank16_trace_guard_enumerates_nothing(capsys, monkeypatch):
+    def enumerate_vectors(*args):
+        raise AssertionError("the trace guard must fire before any enumeration")
+
+    monkeypatch.setattr(thetaforms, "short_vectors", enumerate_vectors)
+    assert main(["lattice-theta", "--lattice", "e16", "--bound", "8"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "trace_bound <= 4" in json.loads(captured.err)["error"]
+
+
 @pytest.mark.parametrize("error, code", [
     (np.linalg.LinAlgError("Matrix is not positive definite"), 3),
     (hodge.StepSizeError("Richardson disagreement"), 3),

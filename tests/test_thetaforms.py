@@ -1,5 +1,6 @@
 import cmath
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from siegelkit import thetaforms
 from siegelkit.symplectic import gl_embedding, j_matrix, translation
 from siegelkit.siegelspace import SiegelPoint, cocycle, moebius_act
-from siegelkit.fourier import HalfIntegralMatrix
+from siegelkit.fourier import FourierExpansion, HalfIntegralMatrix
 from siegelkit.thetaforms import (
     LatticeGram,
     ThetaCharacteristic,
@@ -145,6 +146,38 @@ def test_short_vectors_match_box_enumeration(gram, bound):
     assert got.shape == expected.shape and np.array_equal(got, expected)
 
 
+def _tuple_tally(lattice, genus, trace_bound):
+    """c(A) by walking every tuple of short vectors within the trace, in plain Python."""
+    vecs = [tuple(x) for x in short_vectors(lattice, 2 * trace_bound).tolist()]
+
+    def inner(x, y):
+        return sum(x[i] * lattice.gram[i][j] * y[j] for i in range(lattice.rank) for j in range(lattice.rank))
+
+    tally = {}
+
+    def extend(chosen, budget):
+        if len(chosen) == genus:
+            key = tuple(inner(chosen[i], chosen[j]) for i in range(genus) for j in range(i, genus))
+            tally[key] = tally.get(key, 0) + 1
+            return
+        for x in vecs:
+            if inner(x, x) <= budget:
+                extend(chosen + [x], budget - inner(x, x))
+
+    extend([], 2 * trace_bound)
+    return FourierExpansion(genus, 1, lattice.rank // 2, tally, trace_bound=2 * trace_bound)
+
+
+@settings(max_examples=100, deadline=None)
+@given(gram=even_grams(), genus=st.integers(1, 3), trace_bound=st.integers(1, 3),
+       chunk=st.sampled_from([1, 7, thetaforms.TALLY_CHUNK]))
+def test_tally_kernel_matches_tuple_enumeration(gram, genus, trace_bound, chunk):
+    lattice = LatticeGram("random", len(gram), gram.tolist())
+    expected = _tuple_tally(lattice, genus, trace_bound).to_json()
+    with mock.patch.object(thetaforms, "TALLY_CHUNK", chunk):
+        assert lattice_theta_coefficients(lattice, genus, trace_bound).to_json() == expected
+
+
 def test_rank16_shells_at_bound_6():
     # 480 sigma_7(n) vectors of norm 2n in an even unimodular rank-16 lattice
     for name in ("e8e8", "e16"):
@@ -185,6 +218,11 @@ def test_cost_guards():
         lattice_theta_coefficients(named_lattice("e8"), 4, 1)
     with pytest.raises(ValueError):
         lattice_theta_coefficients(named_lattice("e8"), 1, 9)
+    # rank-16 enumeration at trace 5 would need 46.5M vectors, at trace 8 1.59e9
+    for name in ("e8e8", "e16"):
+        for trace_bound in (5, 8):
+            with pytest.raises(ValueError, match="trace_bound <= 4"):
+                lattice_theta_coefficients(named_lattice(name), 1, trace_bound)
     with pytest.raises(NotImplementedError):
         schottky_chi8_coefficients(4, 1)
 

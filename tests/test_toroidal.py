@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from siegelkit import toroidal
 from siegelkit.toroidal import (
     ConeSigma,
     CuspLattice,
@@ -106,3 +107,11 @@ def test_monomial_map_composition():
 def test_divisor_pullback_table(n, m):
     table = verify_divisor_pullback(n, m, principal_cone(2))
     assert table == (n // m,) * 3
+
+
+def test_divisor_pullback_fails_when_the_level_is_ignored(monkeypatch):
+    generators = toroidal.dual_monoid_generators
+    monkeypatch.setattr(toroidal, "dual_monoid_generators", lambda cone, level: generators(cone, 1))
+    assert monomial_map(6, 2, principal_cone(2)).exponents == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    with pytest.raises(AssertionError, match="n/m"):
+        verify_divisor_pullback(6, 2, principal_cone(2))
