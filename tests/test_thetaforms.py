@@ -144,6 +144,11 @@ def test_short_vectors_match_box_enumeration(gram, bound):
     got = short_vectors(lattice, bound)
     assert got.dtype == np.int64 and not got.flags.writeable
     assert got.shape == expected.shape and np.array_equal(got, expected)
+    # the tree enumerates one sign: the rest is the mirror image, about 0 in the middle
+    assert np.array_equal(got[::-1], -got) and not got[len(got) // 2].any()
+    cached, got_norms = thetaforms._enumerate(lattice, bound)
+    assert np.array_equal(cached, got) and got_norms.dtype == np.int64 and not got_norms.flags.writeable
+    assert got_norms.tolist() == [lattice.norm(x) for x in got.tolist()]
 
 
 def _tuple_tally(lattice, genus, trace_bound):
@@ -185,6 +190,7 @@ def test_rank16_shells_at_bound_6():
         vecs = short_vectors(lattice, 6)
         norms = np.einsum("ni,ij,nj->n", vecs, np.array(lattice.gram), vecs)
         assert np.bincount(norms)[::2].tolist() == [1, 480, 61920, 1050240]
+        assert np.array_equal(thetaforms._enumerate(lattice, 6)[1], norms)
 
 
 def test_lattice_theta_coefficients():
