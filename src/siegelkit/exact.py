@@ -49,14 +49,6 @@ def transpose(a):
     return tuple(tuple(row[i] for row in a) for i in range(len(a[0])))
 
 
-def mat_add(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_sub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 def mat_neg(a):
     return tuple(tuple(-x for x in row) for row in a)
 

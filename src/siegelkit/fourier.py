@@ -103,16 +103,17 @@ class FourierExpansion:
         if self.weight < 0:
             raise ValueError("weight must be >= 0")
         canon = {}
+        trace_bound = 0
         for key, value in self.coeffs.items():
             if isinstance(key, HalfIntegralMatrix):
                 a = key
             else:
                 a = HalfIntegralMatrix.from_key(self.g, tuple(key))
             canon[a.key()] = value
+            trace_bound = max(trace_bound, a.trace_two_a())
         object.__setattr__(self, "coeffs", canon)
-        if self.trace_bound == 0 and canon:
-            tb = max(sum(k[_diag_index(self.g, i)] for i in range(self.g)) for k in canon)
-            object.__setattr__(self, "trace_bound", tb)
+        if self.trace_bound == 0:
+            object.__setattr__(self, "trace_bound", trace_bound)
 
     def support(self):
         """Index matrices in canonical (sorted key) order."""
@@ -160,11 +161,6 @@ class FourierExpansion:
                 for k in keys}
         return FourierExpansion(self.g, self.level, self.weight, diff,
                                 min(self.trace_bound, other.trace_bound))
-
-
-def _diag_index(g, i):
-    # position of (i, i) in the upper-triangle row-major key
-    return sum(g - r for r in range(i)) if i else 0
 
 
 def evaluate(f: FourierExpansion, tau: SiegelPoint) -> complex:

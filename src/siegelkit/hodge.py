@@ -30,6 +30,13 @@ from .siegelspace import (
 
 DECOMPOSITION_COND_LIMIT = 1e8
 
+# the bounds behind the "pass" verdicts of the Einstein and curvature checks
+LAMBDA_SPREAD_BOUND = 1e-3
+DW_BOUND = 1e-4
+EINSTEIN_BOUND = 1e-3
+CURVATURE_BOUND = 1e-3
+WEDGE_BOUND = 1e-10
+
 # central differences along a coordinate direction X: values at tau + c h X for
 # c in _LEGS, weighted by _D_DZ (resp. _D_DZBAR) and divided by h, give
 # d/dz = (d/dx - i d/dy) / 2 (resp. d/dzbar = (d/dx + i d/dy) / 2)
@@ -179,11 +186,15 @@ def kahler_einstein_check(tau_samples, h=1e-3):
     """Closedness of the Kaehler form and the Einstein constant, by differences.
 
     Returns a report with the worst d(omega) residual, the per-sample Einstein
-    constants (from Ricci = -lambda * omega), and the worst Einstein residual.
-    Raises StepSizeError when halving the step moves the constants by more
-    than the expected truncation behaviour allows.
+    constants (from Ricci = -lambda * omega), the worst Einstein residual, and
+    the verdict "pass": all three within LAMBDA_SPREAD_BOUND (relative spread
+    of the constants), DW_BOUND and EINSTEIN_BOUND.  Raises StepSizeError when
+    halving the step moves the constants by more than the expected truncation
+    behaviour allows.
     """
     _check_step(h)
+    if not tau_samples:
+        raise ValueError("the Einstein check needs at least one sample point")
     lambdas = []
     dw_residual = 0.0
     einstein_residual = 0.0
@@ -212,10 +223,13 @@ def kahler_einstein_check(tau_samples, h=1e-3):
             raise StepSizeError("Richardson disagreement: step too small or too large")
         lambdas.append(float(lam))
         einstein_residual = max(einstein_residual, float(np.max(np.abs(ric[0] - lam * gmat))))
+    spread = (max(lambdas) - min(lambdas)) / abs(lambdas[0])
     return {
         "lambda": lambdas,
         "dw_residual": dw_residual,
         "einstein_residual": einstein_residual,
+        "pass": spread <= LAMBDA_SPREAD_BOUND and dw_residual <= DW_BOUND
+        and einstein_residual <= EINSTEIN_BOUND,
     }
 
 
@@ -244,7 +258,9 @@ def higgs_curvature_identity_check(tau: SiegelPoint, h=1e-3):
     matrix; the right-hand side is algebraic in the Higgs matrices.  Also
     checks that the wedge of the Higgs field with itself (and of its adjoint)
     vanishes at the level of composed maps, and that the Higgs matrices are
-    symmetric (the Sym^2 embedding of the tangent bundle).
+    symmetric (the Sym^2 embedding of the tangent bundle).  The verdict "pass"
+    holds the curvature residual to CURVATURE_BOUND and both wedge residuals
+    to WEDGE_BOUND.
     """
     if tau.g > 2:
         raise ValueError("curvature check is guarded to g <= 2")
@@ -271,9 +287,14 @@ def higgs_curvature_identity_check(tau: SiegelPoint, h=1e-3):
     rhs = -(theta[:, None] @ theta_star[None] - theta_star[None] @ theta[:, None])
 
     sym_residual = max(kodaira_spencer(tau, x).symmetry_defect() for x in tangent_basis(g))
+    curvature_residual = float(np.max(np.abs(curv - rhs)))
+    wedge_residual = _commutator_residual(theta)
+    star_wedge_residual = _commutator_residual(theta_star)
     return {
-        "curvature_residual": float(np.max(np.abs(curv - rhs))),
-        "wedge_residual": _commutator_residual(theta),
-        "star_wedge_residual": _commutator_residual(theta_star),
+        "curvature_residual": curvature_residual,
+        "wedge_residual": wedge_residual,
+        "star_wedge_residual": star_wedge_residual,
         "sym_square_residual": sym_residual,
+        "pass": curvature_residual <= CURVATURE_BOUND and wedge_residual <= WEDGE_BOUND
+        and star_wedge_residual <= WEDGE_BOUND,
     }

@@ -67,14 +67,10 @@ class ConeSigma:
             raise ValueError("rays must live in the ambient dimension")
         if any(not _primitive(r) for r in rays):
             raise ValueError("rays must be primitive")
-        if len(rays) > 1:
-            # linear independence of the rays <=> simplicial & strongly convex
-            if len(rays) == self.dimension:
-                if exact.det(rays) == 0:
-                    raise ValueError("rays of a top cone must be linearly independent")
-            else:
-                if _rank(rays) != len(rays):
-                    raise ValueError("rays must be linearly independent (simplicial cones only)")
+        # linear independence of the rays <=> simplicial & strongly convex, and
+        # rows R are independent exactly when the Gram matrix R t(R) is invertible
+        if len(rays) > 1 and exact.det(exact.mat_mul(rays, exact.transpose(rays))) == 0:
+            raise ValueError("rays must be linearly independent (simplicial cones only)")
 
     def ray_set(self):
         return frozenset(self.rays)
@@ -104,25 +100,6 @@ class ConeSigma:
         if strict:
             return all(c > 0 for c in coords)
         return all(c >= 0 for c in coords)
-
-
-def _rank(mat):
-    """Rank by division-free elimination, exact for int and Fraction entries."""
-    rows = [list(r) for r in mat]
-    rank = 0
-    cols = len(rows[0])
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        p = rows[rank][col]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [p * a - f * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
 
 
 # --- the degree-2 principal cone fixture --------------------------------------

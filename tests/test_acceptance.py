@@ -138,6 +138,7 @@ def test_criterion_05_kahler_einstein():
     assert (max(lams) - min(lams)) / abs(lams[0]) <= 1e-3
     g1 = kahler_einstein_check([SiegelPoint.scaled_identity(1)])
     assert abs(g1["lambda"][0] - 2.0) <= 1e-4
+    assert report["pass"] and g1["pass"]
     _report(5, f"d(omega) {report['dw_residual']:.1e}, lambda {lams[0]:.4f} (g=1: 2)", start, 120.0)
 
 
@@ -147,6 +148,7 @@ def test_criterion_06_curvature_identity():
     assert report["curvature_residual"] <= 1e-3
     assert report["wedge_residual"] <= 1e-10
     assert report["star_wedge_residual"] <= 1e-10
+    assert report["pass"]
     _report(6, f"curvature residual {report['curvature_residual']:.1e}", start, 60.0)
 
 

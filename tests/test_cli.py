@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from siegelkit import hodge, thetaforms, toroidal
+from siegelkit import generaltype, hodge, thetaforms, toroidal
 from siegelkit.cli import main
 from siegelkit.thetaforms import lattice_theta_coefficients, named_lattice
 from siegelkit.fourier import siegel_phi
@@ -113,10 +113,32 @@ def test_certify_chi10(capsys):
     assert payload["evidence"]
 
 
+def test_certify_degree_mismatch_runs_no_pipeline(capsys, monkeypatch):
+    def pipeline():
+        raise AssertionError("the degree check must fire before the evidence pipeline")
+
+    monkeypatch.setitem(generaltype.NAMED_FORM_EVIDENCE, "chi18", (3, pipeline))
+    assert main(["certify", "--g", "2", "--form", "chi18"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "degree" in json.loads(captured.err)["error"]
+
+
+def test_hodge_checks_emit_the_library_verdict(capsys):
+    code, payload = run(capsys, "--seed", "1", "einstein-check", "--points", "2")
+    assert code == 0 and payload["pass"] is True and payload["curvature_residual"] is None
+    code, payload = run(capsys, "curvature-check")
+    assert code == 0 and payload["pass"] is True
+    assert payload["lambda"] is None and payload["dw_residual"] is None
+
+
 def test_usage_errors(capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["no-such-command"])
-    assert err.value.code == 2
+    for argv in (["no-such-command"],
+                 # only metric-check has a CSV form
+                 ["lattice-theta", "--lattice", "e8", "--format", "csv"]):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
     # chi18 needs a degree-3 point
     code = main(["named-form", "--name", "chi18", "--tau", "[[[0,1]]]"])
     assert code == 2

@@ -2,6 +2,7 @@ import pytest
 
 from siegelkit.generaltype import (
     CuspFormEvidence,
+    _level_one_evidence,
     certify,
     evidence_for,
     weight_to_power,
@@ -23,6 +24,11 @@ def test_evidence_validation():
         CuspFormEvidence(2, 1, 10, 1, ("check",))       # 10 not divisible by 3
     with pytest.raises(ValueError):
         CuspFormEvidence(2, 1, 10, 3, ())               # empty record
+    # both would certify "N >= 3" from nothing
+    with pytest.raises(ValueError):
+        CuspFormEvidence(2, 1, 10, 0, ("check",))       # zeroth power
+    with pytest.raises(ValueError):
+        CuspFormEvidence(2, 1, -3, 1, ("check",))       # negative weight
     ev = CuspFormEvidence(2, 1, 10, 3, ("check",))
     assert ev.total_weight == 30
 
@@ -81,3 +87,11 @@ def test_chi10_evidence_pipeline():
         "chi10:cusp-decay",
     }
     assert certify(2, 1, ev).threshold == 10
+
+
+def test_evidence_names_every_failed_check():
+    checks = [("form:one", False), ("form:two", True), ("form:three", False)]
+    with pytest.raises(RuntimeError, match="'form:one', 'form:three'"):
+        _level_one_evidence(2, 10, checks)
+    ev = _level_one_evidence(2, 10, [("form:one", True), ("form:two", True)])
+    assert ev.verification == ("form:one", "form:two") and (ev.level, ev.power) == (1, 3)

@@ -1,6 +1,11 @@
+import itertools
+import json
+
 import numpy as np
 import pytest
 
+from siegelkit import hodge
+from siegelkit.cli import main
 from siegelkit.symplectic import j_matrix
 from siegelkit.siegelspace import (
     SiegelPoint,
@@ -135,6 +140,7 @@ def test_kahler_einstein_g1_closed_form():
     for lam in report["lambda"]:
         assert lam == pytest.approx(2.0, abs=1e-4)
     assert report["dw_residual"] <= 1e-4
+    assert report["pass"] is True
 
 
 def test_kahler_einstein_g2_consistency():
@@ -144,6 +150,7 @@ def test_kahler_einstein_g2_consistency():
     assert abs(lams[0] - lams[1]) <= 1e-3 * abs(lams[0])
     assert report["dw_residual"] <= 1e-4
     assert report["einstein_residual"] <= 1e-3
+    assert report["pass"] is True
 
 
 def test_kahler_einstein_richardson_consistency():
@@ -186,6 +193,7 @@ def test_curvature_identity():
     assert report["wedge_residual"] <= 1e-10
     assert report["star_wedge_residual"] <= 1e-10
     assert report["sym_square_residual"] <= 1e-10
+    assert report["pass"] is True
 
 
 def test_curvature_cost_guard():
@@ -198,3 +206,62 @@ def test_decomposition_condition_guard():
     st = HodgeStructureW1(2, borel_embed(tau))
     a, b = st.decompose(st.F1.basis[:, 0])
     assert np.allclose(a, [1, 0]) and np.allclose(b, [0, 0])
+
+
+# --- the verdicts can fail ------------------------------------------------------
+# Each perturbation moves one measurement past its bound; the bounds stay as
+# they are.  i I is the first sample of every run, and every perturbed metric
+# keeps its value there.
+
+
+def _lambda_drift():
+    # c * gmat scales lambda by 1 / c and keeps lambda * gmat and d(omega)
+    calls = itertools.count()
+    return "hodge_metric_matrix", lambda tau: hodge_metric_matrix(tau) * (1 + 0.01 * next(calls))
+
+
+def _shear():
+    # (I + Re(tau_00 - i) N) M with N nilpotent keeps det M, so Ricci and
+    # lambda hold, while d/dz_0 of row 1 gains a term that d/dz_1 of row 0 lacks
+    def kernel(taus, dirs):
+        metrics = _metric_stack(taus, dirs)
+        shear = np.zeros((len(dirs), len(dirs)))
+        shear[1, 0] = 1e-2
+        return metrics + (taus[:, 0, 0] - 1j).real[:, None, None] * (shear @ metrics)
+    return "_metric_stack", kernel
+
+
+def _conformal(name, kernel):
+    # exp(|tau_00 - i|^2 / 10) adds a curvature term; at i I it changes neither
+    # the value nor the first derivatives
+    def perturbed(taus, *rest):
+        return kernel(taus, *rest) * np.exp(np.abs(taus[:, 0, 0] - 1j) ** 2 / 10)[:, None, None]
+    return lambda: (name, perturbed)
+
+
+def _spread(report):
+    return (max(report["lambda"]) - min(report["lambda"])) / abs(report["lambda"][0])
+
+
+@pytest.mark.parametrize("perturb, check, measured, bound, argv", [
+    (_lambda_drift,
+     lambda: kahler_einstein_check([SiegelPoint.scaled_identity(2), SiegelPoint.diagonal(1j, 2j)]),
+     _spread, hodge.LAMBDA_SPREAD_BOUND, ["einstein-check"]),
+    (_shear, lambda: kahler_einstein_check([SiegelPoint.scaled_identity(2)]),
+     lambda r: r["dw_residual"], hodge.DW_BOUND, ["einstein-check", "--points", "1"]),
+    (_conformal("_metric_stack", _metric_stack),
+     lambda: kahler_einstein_check([SiegelPoint.scaled_identity(2)]),
+     lambda r: r["einstein_residual"], hodge.EINSTEIN_BOUND, ["einstein-check", "--points", "1"]),
+    (_conformal("_frame_grams", _frame_grams),
+     lambda: higgs_curvature_identity_check(SiegelPoint.scaled_identity(2)),
+     lambda r: r["curvature_residual"], hodge.CURVATURE_BOUND, ["curvature-check"]),
+], ids=["lambda-spread", "d-omega", "einstein-residual", "curvature-residual"])
+def test_verdict_fails_when_a_measurement_exceeds_its_bound(
+        capsys, monkeypatch, perturb, check, measured, bound, argv):
+    assert check()["pass"] is True
+    monkeypatch.setattr(hodge, *perturb())
+    report = check()
+    assert measured(report) > bound
+    assert report["pass"] is False
+    assert main(["--seed", "1"] + argv) == 1
+    assert json.loads(capsys.readouterr().out)["pass"] is False
