@@ -9,7 +9,6 @@ and tolerance-tiered numerics for the metric and curvature verifications.
 from .symplectic import (
     SymplecticForm,
     SymplecticMatrix,
-    CongruenceLevel,
     pairing,
     is_symplectic,
     congruence_membership,
@@ -58,7 +57,6 @@ from .thetaforms import (
     schottky_chi8_coefficients,
 )
 from .toroidal import (
-    CuspLattice,
     ConeSigma,
     MonomialChartMap,
     principal_cone,

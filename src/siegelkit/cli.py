@@ -7,11 +7,14 @@ fails the Richardson test, a failed factorization or solve, or another
 runtime failure).  Errors 2 and 3 print a JSON error on stderr.  A fixed
 --seed controls every randomized sample.
 
-The pass/fail verdict comes from the library module that took the
-measurement: the "pass" key of the hodge reports, and the paper's threshold
-table in generaltype.  Only metric-check compares against a bound of its own,
-the user-set --tolerance.  Every command writes JSON; metric-check alone
-takes --format csv.
+Every command ends in _emit, the one place that turns a report into an exit
+code: 1 when its "pass" key is false, 0 when it is true or absent.  The
+verdict comes from the library module that took the measurement: the hodge
+reports, the paper's threshold table in generaltype, the pullback and
+symmetry checks.  Only metric-check compares against a bound of its own, the
+user-set --tolerance, and cusp-check reports "pass" only when --expect-cusp
+names the expected answer.  Every leaf command takes --output and writes
+JSON; metric-check alone takes --format csv.
 """
 
 import argparse
@@ -49,6 +52,7 @@ def _parse_char(text):
 
 
 def _emit(args, payload, as_csv_rows=None):
+    """Write the report and return its exit code: 1 when "pass" is false, else 0."""
     if as_csv_rows is not None and args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -57,11 +61,12 @@ def _emit(args, payload, as_csv_rows=None):
         text = buf.getvalue()
     else:
         text = json.dumps(payload, indent=1, sort_keys=True, default=_json_default) + "\n"
-    if getattr(args, "output", None):
+    if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+    return 0 if payload.get("pass", True) else 1
 
 
 def _json_default(obj):
@@ -95,31 +100,25 @@ def _cmd_metric_check(args):
         "relative_spread": spread,
         "pass": spread <= args.tolerance,
     }
-    _emit(args, payload, as_csv_rows=rows)
-    return 0 if payload["pass"] else 1
+    return _emit(args, payload, as_csv_rows=rows)
 
 
 def _cmd_einstein_check(args):
     rng = np.random.default_rng(args.seed)
     samples = [SiegelPoint.scaled_identity(args.genus)]
     samples += [random_siegel_point(args.genus, rng) for _ in range(args.points - 1)]
-    report = hodge.kahler_einstein_check(samples, h=args.step)
-    _emit(args, {**report, "curvature_residual": None})
-    return 0 if report["pass"] else 1
+    return _emit(args, hodge.kahler_einstein_check(samples, h=args.step))
 
 
 def _cmd_curvature_check(args):
-    report = hodge.higgs_curvature_identity_check(SiegelPoint.scaled_identity(args.genus))
-    _emit(args, {**report, "lambda": None, "dw_residual": None})
-    return 0 if report["pass"] else 1
+    return _emit(args, hodge.higgs_curvature_identity_check(SiegelPoint.scaled_identity(args.genus)))
 
 
 def _cmd_boundary_growth(args):
     radii = [float(r) for r in args.radii.split(",")]
     report = siegelspace.boundary_growth_probe(args.genus, radii)
     report["pass"] = report["bounded"]
-    _emit(args, report)
-    return 0 if report["pass"] else 1
+    return _emit(args, report)
 
 
 def _cmd_theta(args):
@@ -127,30 +126,27 @@ def _cmd_theta(args):
     tau = _parse_tau(args.tau)
     trunc = thetaforms.TruncationParams(radius=args.radius, target=args.target)
     value, tail = thetaforms.theta_constant_with_tail(char, tau, trunc)
-    _emit(args, {
+    return _emit(args, {
         "char": [list(b) for b in char.doubled()],
         "even": char.is_even,
         "value": value,
         "tail_estimate": tail,
         "radius": args.radius,
     })
-    return 0
 
 
 def _cmd_lattice_theta(args):
     lattice = thetaforms.named_lattice(args.lattice)
     expansion = thetaforms.lattice_theta_coefficients(lattice, args.genus, args.bound)
-    _emit(args, expansion.to_json())
-    return 0
+    return _emit(args, expansion.to_json())
 
 
 def _cmd_named_form(args):
     if args.name == "schottky":
-        expansion = thetaforms.schottky_chi8_coefficients(args.genus or 2, args.bound)
+        expansion = thetaforms.schottky_chi8_coefficients(args.genus, args.bound)
         payload = expansion.to_json()
         payload["all_zero"] = expansion.is_zero()
-        _emit(args, payload)
-        return 0
+        return _emit(args, payload)
     if not args.tau:
         raise ValueError("named-form chi10/chi18 needs --tau")
     tau = _parse_tau(args.tau)
@@ -158,16 +154,14 @@ def _cmd_named_form(args):
         value = thetaforms.chi10(tau)
     else:
         value = thetaforms.chi18(tau)
-    _emit(args, {"name": args.name, "value": value})
-    return 0
+    return _emit(args, {"name": args.name, "value": value})
 
 
 def _cmd_phi(args):
     with open(args.input) as fh:
         expansion = fourier.FourierExpansion.from_json(json.load(fh))
     image = fourier.siegel_phi(expansion)
-    _emit(args, image.to_json())
-    return 0
+    return _emit(args, image.to_json())
 
 
 def _cmd_cusp_check(args):
@@ -178,8 +172,9 @@ def _cmd_cusp_check(args):
     if witness is not None:
         payload["witness_twoA"] = [list(r) for r in witness.twoA]
         payload["witness_coefficient"] = expansion.coefficient(witness)
-    _emit(args, payload)
-    return 0 if ok == args.expect_cusp else (0 if args.expect_cusp is None else 1)
+    if args.expect_cusp is not None:
+        payload["pass"] = ok == args.expect_cusp
+    return _emit(args, payload)
 
 
 def _cmd_symmetry_check(args):
@@ -195,8 +190,7 @@ def _cmd_symmetry_check(args):
         ],
         "pass": not violations,
     }
-    _emit(args, payload)
-    return 0 if payload["pass"] else 1
+    return _emit(args, payload)
 
 
 def _cmd_toroidal_pullback(args):
@@ -210,17 +204,15 @@ def _cmd_toroidal_pullback(args):
         toroidal.verify_divisor_pullback(args.n, args.m, cone)
     except AssertionError as err:
         payload.update({"pass": False, "failure": str(err)})
-    _emit(args, payload)
-    return 0 if payload["pass"] else 1
+    return _emit(args, payload)
 
 
 def _cmd_certify(args):
-    if generaltype.NAMED_FORM_EVIDENCE[args.form][0] != args.g:
+    # every named pipeline yields level-one evidence of its form's degree
+    if (generaltype.NAMED_FORM_EVIDENCE[args.form][0], 1) != (args.g, args.l):
         raise ValueError("evidence does not match the requested degree and level")
     evidence = generaltype.evidence_for(args.form)
-    cert = generaltype.certify(args.g, args.l, evidence)
-    _emit(args, cert.to_json())
-    return 0
+    return _emit(args, generaltype.certify(args.g, args.l, evidence).to_json())
 
 
 def _cmd_examples_table(args):
@@ -234,8 +226,7 @@ def _cmd_examples_table(args):
         ],
     }
     payload["pass"] = all(generaltype.PAPER_THRESHOLDS[r["g"]] == r["threshold"] for r in rows)
-    _emit(args, payload)
-    return 0 if payload["pass"] else 1
+    return _emit(args, payload)
 
 
 def build_parser():
@@ -245,98 +236,75 @@ def build_parser():
     )
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized samples")
     sub = parser.add_subparsers(dest="command", required=True)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", help="write the report to a file instead of stdout")
 
-    def common(p):
-        p.add_argument("--output", help="write the report to a file instead of stdout")
+    def leaf(subparsers, name, func, summary):
+        p = subparsers.add_parser(name, help=summary, parents=[output])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("metric-check", help="Bergman/Hodge ratio constancy")
+    p = leaf(sub, "metric-check", _cmd_metric_check, "Bergman/Hodge ratio constancy")
     p.add_argument("--genus", type=int, default=2)
     p.add_argument("--samples", type=int, default=10)
     p.add_argument("--directions", type=int, default=2)
     p.add_argument("--tolerance", type=float, default=1e-8)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    common(p)
-    p.set_defaults(func=_cmd_metric_check)
 
-    p = sub.add_parser("einstein-check", help="Kaehler closedness and Einstein constant")
+    p = leaf(sub, "einstein-check", _cmd_einstein_check, "Kaehler closedness and Einstein constant")
     p.add_argument("--genus", type=int, default=2)
     p.add_argument("--points", type=int, default=3)
     p.add_argument("--step", type=float, default=1e-3)
-    common(p)
-    p.set_defaults(func=_cmd_einstein_check)
 
-    p = sub.add_parser("curvature-check", help="Hodge-bundle curvature identity")
+    p = leaf(sub, "curvature-check", _cmd_curvature_check, "Hodge-bundle curvature identity")
     p.add_argument("--genus", type=int, default=2)
-    common(p)
-    p.set_defaults(func=_cmd_curvature_check)
 
-    p = sub.add_parser("boundary-growth", help="metric growth in the cusp chart")
+    p = leaf(sub, "boundary-growth", _cmd_boundary_growth, "metric growth in the cusp chart")
     p.add_argument("--genus", type=int, default=1)
     p.add_argument("--radii", default="1e-3,3e-4,1e-4,3e-5,1e-5")
-    common(p)
-    p.set_defaults(func=_cmd_boundary_growth)
 
-    p = sub.add_parser("theta", help="theta constant with characteristic")
+    p = leaf(sub, "theta", _cmd_theta, "theta constant with characteristic")
     p.add_argument("--char", required=True, help="doubled characteristic, e.g. '01;10'")
     p.add_argument("--tau", required=True, help="JSON matrix of [re, im] entries")
     p.add_argument("--radius", type=int, default=8)
     p.add_argument("--target", type=float, default=1e-10)
-    common(p)
-    p.set_defaults(func=_cmd_theta)
 
-    p = sub.add_parser("lattice-theta", help="exact lattice theta coefficients")
+    p = leaf(sub, "lattice-theta", _cmd_lattice_theta, "exact lattice theta coefficients")
     p.add_argument("--lattice", required=True, choices=("e8", "e8e8", "e16"))
     p.add_argument("--genus", type=int, default=1)
     p.add_argument("--bound", type=int, default=2, help="trace bound")
-    common(p)
-    p.set_defaults(func=_cmd_lattice_theta)
 
-    p = sub.add_parser("named-form", help="evaluate chi10/chi18 or expand the theta difference")
+    p = leaf(sub, "named-form", _cmd_named_form, "evaluate chi10/chi18 or expand the theta difference")
     p.add_argument("--name", required=True, choices=("chi10", "chi18", "schottky"))
     p.add_argument("--tau", help="JSON matrix (chi10/chi18)")
-    p.add_argument("--genus", type=int, default=None, help="schottky truncation genus")
+    p.add_argument("--genus", type=int, default=2, help="schottky truncation genus")
     p.add_argument("--bound", type=int, default=2, help="schottky trace bound")
-    common(p)
-    p.set_defaults(func=_cmd_named_form)
 
-    p = sub.add_parser("phi", help="apply the degree-lowering operator to an expansion")
+    p = leaf(sub, "phi", _cmd_phi, "apply the degree-lowering operator to an expansion")
     p.add_argument("--input", required=True)
-    common(p)
-    p.set_defaults(func=_cmd_phi)
 
-    p = sub.add_parser("cusp-check", help="level-1 singular-coefficient cusp test")
+    p = leaf(sub, "cusp-check", _cmd_cusp_check, "level-1 singular-coefficient cusp test")
     p.add_argument("--input", required=True)
     p.add_argument("--expect-cusp", type=lambda s: s.lower() == "true", default=None)
-    common(p)
-    p.set_defaults(func=_cmd_cusp_check)
 
-    p = sub.add_parser("symmetry-check", help="coefficient symmetry under M(V, U)")
+    p = leaf(sub, "symmetry-check", _cmd_symmetry_check, "coefficient symmetry under M(V, U)")
     p.add_argument("--input", required=True)
     p.add_argument("--v", required=True, help="JSON integer matrix V")
     p.add_argument("--u", required=True, help="JSON integer matrix U")
     p.add_argument("--tolerance", type=float, default=1e-9)
-    common(p)
-    p.set_defaults(func=_cmd_symmetry_check)
 
     p = sub.add_parser("toroidal", help="toroidal chart checks")
     tsub = p.add_subparsers(dest="toroidal_command", required=True)
-    tp = tsub.add_parser("verify-pullback", help="boundary divisor pullback multiplicities")
-    tp.add_argument("--n", type=int, required=True)
-    tp.add_argument("--m", type=int, required=True)
-    common(tp)
-    tp.set_defaults(func=_cmd_toroidal_pullback)
+    p = leaf(tsub, "verify-pullback", _cmd_toroidal_pullback, "boundary divisor pullback multiplicities")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--m", type=int, required=True)
 
-    p = sub.add_parser("certify", help="general-type certificate from a named form")
+    p = leaf(sub, "certify", _cmd_certify, "general-type certificate from a named form")
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--l", type=int, default=1)
     p.add_argument("--form", required=True, choices=("chi10", "chi18", "schottky"))
-    common(p)
-    p.set_defaults(func=_cmd_certify)
 
-    p = sub.add_parser("examples-table", help="reproduce the three certificates")
-    common(p)
-    p.set_defaults(func=_cmd_examples_table)
-
+    leaf(sub, "examples-table", _cmd_examples_table, "reproduce the three certificates")
     return parser
 
 

@@ -12,6 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -50,7 +51,9 @@ class HalfIntegralMatrix:
             raise ValueError("A must be positive semidefinite")
 
     @classmethod
+    @lru_cache(maxsize=None)
     def from_key(cls, g, key):
+        """The index with this canonical key, built and PSD-checked once per key."""
         rows = [[0] * g for _ in range(g)]
         it = iter(key)
         for i in range(g):
@@ -114,10 +117,6 @@ class FourierExpansion:
         object.__setattr__(self, "coeffs", canon)
         if self.trace_bound == 0:
             object.__setattr__(self, "trace_bound", trace_bound)
-
-    def support(self):
-        """Index matrices in canonical (sorted key) order."""
-        return [HalfIntegralMatrix.from_key(self.g, k) for k in sorted(self.coeffs)]
 
     def coefficient(self, a: HalfIntegralMatrix):
         return self.coeffs.get(a.key(), 0)

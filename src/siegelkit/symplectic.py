@@ -142,17 +142,6 @@ class SymplecticMatrix:
         return cls(data["g"], exact.from_json_entries(data["entries"]))
 
 
-@dataclass(frozen=True)
-class CongruenceLevel:
-    """Level n of the congruence subgroup: integral, symplectic, = I mod n."""
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("level must be a positive integer")
-
-
 def congruence_membership(m: SymplecticMatrix, n: int) -> bool:
     """Whether an integral symplectic matrix lies in the level-n subgroup."""
     if n < 1:

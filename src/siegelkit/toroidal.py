@@ -14,38 +14,6 @@ from math import gcd
 from . import exact
 
 
-@dataclass(frozen=True)
-class CuspLattice:
-    """Scaled lattice at the standard minimal cusp: basis l * zeta_a, dual delta_a / l."""
-
-    g: int
-    level: int
-
-    def __post_init__(self):
-        if self.g < 1 or self.level < 1:
-            raise ValueError("g and level must be positive")
-
-    @property
-    def dim(self):
-        return self.g * (self.g + 1) // 2
-
-    def basis(self):
-        l = self.level
-        return [tuple(l if i == j else 0 for j in range(self.dim)) for i in range(self.dim)]
-
-    def dual_basis(self):
-        l = self.level
-        return [tuple(exact.quotient(1, l) if i == j else 0 for j in range(self.dim))
-                for i in range(self.dim)]
-
-    def pairing_matrix(self):
-        """<delta^l_a, zeta^l_b>; the identity, exactly."""
-        basis = self.basis()
-        dual = self.dual_basis()
-        return tuple(tuple(sum(d * z for d, z in zip(dual[a], basis[b]))
-                           for b in range(self.dim)) for a in range(self.dim))
-
-
 def _primitive(vec):
     g = 0
     for x in vec:

@@ -5,6 +5,7 @@ import pytest
 
 from siegelkit import generaltype, hodge, thetaforms, toroidal
 from siegelkit.cli import main
+from siegelkit.siegelspace import SiegelPoint, random_siegel_point
 from siegelkit.thetaforms import lattice_theta_coefficients, named_lattice
 from siegelkit.fourier import siegel_phi
 
@@ -15,10 +16,14 @@ def run(capsys, *argv):
     return code, json.loads(out) if out.strip().startswith("{") else out
 
 
-def test_toroidal_pullback(capsys):
+def test_toroidal_pullback(capsys, tmp_path):
     code, payload = run(capsys, "toroidal", "verify-pullback", "--n", "4", "--m", "2")
     assert code == 0
     assert payload["multiplicities"] == [2, 2, 2]
+    out = tmp_path / "pullback.json"
+    code = main(["toroidal", "verify-pullback", "--n", "4", "--m", "2", "--output", str(out)])
+    assert code == 0 and capsys.readouterr().out == ""
+    assert json.loads(out.read_text()) == payload
 
 
 def test_toroidal_pullback_failure_is_reported(capsys, monkeypatch):
@@ -82,8 +87,12 @@ def test_cusp_check(capsys, tmp_path):
     main(["lattice-theta", "--lattice", "e8", "--genus", "2", "--bound", "2",
           "--output", str(theta_file)])
     code, payload = run(capsys, "cusp-check", "--input", str(theta_file))
-    assert payload["cusp"] is False
+    assert code == 0 and payload["cusp"] is False and "pass" not in payload
     assert "witness_twoA" in payload
+    code, payload = run(capsys, "cusp-check", "--input", str(theta_file), "--expect-cusp", "true")
+    assert code == 1 and payload["pass"] is False
+    code, payload = run(capsys, "cusp-check", "--input", str(theta_file), "--expect-cusp", "false")
+    assert code == 0 and payload["pass"] is True
 
     schottky_file = tmp_path / "schottky.json"
     main(["named-form", "--name", "schottky", "--genus", "2", "--bound", "2",
@@ -94,7 +103,7 @@ def test_cusp_check(capsys, tmp_path):
     schottky_file.write_text(json.dumps(data))
     code, payload = run(capsys, "cusp-check", "--input", str(schottky_file),
                         "--expect-cusp", "true")
-    assert code == 0 and payload["cusp"] is True
+    assert code == 0 and payload["cusp"] is True and payload["pass"] is True
 
 
 def test_symmetry_check_cli(capsys, tmp_path):
@@ -118,18 +127,22 @@ def test_certify_degree_mismatch_runs_no_pipeline(capsys, monkeypatch):
         raise AssertionError("the degree check must fire before the evidence pipeline")
 
     monkeypatch.setitem(generaltype.NAMED_FORM_EVIDENCE, "chi18", (3, pipeline))
-    assert main(["certify", "--g", "2", "--form", "chi18"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "degree" in json.loads(captured.err)["error"]
+    monkeypatch.setitem(generaltype.NAMED_FORM_EVIDENCE, "chi10", (2, pipeline))
+    # a degree the form does not have, and a level no named pipeline serves
+    for argv in (["--g", "2", "--form", "chi18"], ["--g", "2", "--l", "2", "--form", "chi10"]):
+        assert main(["certify", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "degree and level" in json.loads(captured.err)["error"]
 
 
 def test_hodge_checks_emit_the_library_verdict(capsys):
+    samples = [SiegelPoint.scaled_identity(2), random_siegel_point(2, np.random.default_rng(1))]
     code, payload = run(capsys, "--seed", "1", "einstein-check", "--points", "2")
-    assert code == 0 and payload["pass"] is True and payload["curvature_residual"] is None
+    assert code == 0 and payload == hodge.kahler_einstein_check(samples)
     code, payload = run(capsys, "curvature-check")
-    assert code == 0 and payload["pass"] is True
-    assert payload["lambda"] is None and payload["dw_residual"] is None
+    assert code == 0
+    assert payload == hodge.higgs_curvature_identity_check(SiegelPoint.scaled_identity(2))
 
 
 def test_usage_errors(capsys):

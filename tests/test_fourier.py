@@ -28,6 +28,11 @@ def test_half_integral_validation():
         HalfIntegralMatrix(2, ((1, 0), (1, 1)))        # not symmetric
     with pytest.raises(ValueError):
         HalfIntegralMatrix(2, ((-2, 0), (0, 2)))
+    # keys are cached once valid; an invalid key raises on every call
+    assert HalfIntegralMatrix.from_key(2, (2, 1, 2)) == HalfIntegralMatrix(2, ((2, 1), (1, 2)))
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            HalfIntegralMatrix.from_key(2, (2, 3, 2))
 
 
 def test_singularity_flag():

@@ -5,7 +5,6 @@ import pytest
 from siegelkit import toroidal
 from siegelkit.toroidal import (
     ConeSigma,
-    CuspLattice,
     dual_monoid_generators,
     gl2_image,
     monomial_map,
@@ -13,16 +12,6 @@ from siegelkit.toroidal import (
     principal_cone_fixture,
     verify_divisor_pullback,
 )
-
-
-def test_cusp_lattice_pairing():
-    for g, level in ((2, 1), (2, 2), (3, 6)):
-        cl = CuspLattice(g, level)
-        assert cl.dim == g * (g + 1) // 2
-        pairing = cl.pairing_matrix()
-        for a in range(cl.dim):
-            for b in range(cl.dim):
-                assert pairing[a][b] == (1 if a == b else 0)
 
 
 def test_principal_cone_fixture():
