@@ -267,17 +267,13 @@ def decay_check(evaluator, tau_prime, t_grid):
     ts = [float(t) for t in t_grid]
     if len(ts) < 4 or any(b <= a for a, b in zip(ts, ts[1:])):
         raise ValueError("t grid must be increasing with at least 4 points")
-    g_prime = tau_prime.g if hasattr(tau_prime, "g") else 0
+    g_prime = tau_prime.g
     values = []
     for t in ts:
-        if g_prime:
-            block = np.zeros((g_prime + 1, g_prime + 1), dtype=complex)
-            block[:g_prime, :g_prime] = tau_prime.tau
-            block[g_prime, g_prime] = 1j * t
-            point = SiegelPoint(g_prime + 1, block)
-        else:
-            point = SiegelPoint(1, np.array([[1j * t]]))
-        values.append(complex(evaluator(point)))
+        block = np.zeros((g_prime + 1, g_prime + 1), dtype=complex)
+        block[:g_prime, :g_prime] = tau_prime.tau
+        block[g_prime, g_prime] = 1j * t
+        values.append(complex(evaluator(SiegelPoint(g_prime + 1, block))))
     mags = [abs(v) for v in values]
     if all(m == 0 for m in mags):
         return {"t": ts, "values": values, "slope": -math.inf, "limit": 0.0,

@@ -10,9 +10,10 @@ Gram matrix, expanded level by level over the whole frontier in numpy; floating
 point only seeds the coordinate ranges and prunes, and membership is decided
 by exact integer arithmetic.  The tree covers only the half of the set whose
 first nonzero coordinate is positive (and 0); the other half is its negative.
-The exact norms the tree computes are cached beside the vectors, and one tally
-kernel counts genus-g tuples of them for g = 1..3 by a bincount of
-mixed-radix codes of their inner products.
+The exact norms the tree computes are cached beside the vectors.  One tally
+kernel counts genus-g tuples of nonzero vectors (at most TALLY_BUDGET = 10^9)
+by a bincount of mixed-radix codes of their inner products; a coefficient
+with a zero on the diagonal is read from the table one genus down.
 """
 
 import cmath
@@ -72,18 +73,13 @@ class ThetaCharacteristic:
 
 
 @lru_cache(maxsize=8)
-def all_characteristics(g):
-    """The 4^g characteristics, as a tuple that every caller shares."""
-    return tuple(ThetaCharacteristic.from_doubled(bits1, bits2)
-                 for bits1 in product((0, 1), repeat=g) for bits2 in product((0, 1), repeat=g))
-
-
-@lru_cache(maxsize=8)
 def even_characteristics(g):
     """The even characteristics, as a shared tuple; their number is 2^(g-1) (2^g + 1)."""
     if g < 1:
         raise ValueError("g must be >= 1")
-    return tuple(c for c in all_characteristics(g) if c.is_even)
+    chars = (ThetaCharacteristic.from_doubled(bits1, bits2)
+             for bits1 in product((0, 1), repeat=g) for bits2 in product((0, 1), repeat=g))
+    return tuple(c for c in chars if c.is_even)
 
 
 @dataclass(frozen=True)
@@ -326,19 +322,23 @@ def short_vectors(lattice: LatticeGram, bound: int):
 
 # codes per bincount pass, rounded to whole vectors of the first class
 TALLY_CHUNK = 1 << 16
+# tuples one call may tally (E8 genus 3: 387,072,000 at trace 4, 4,907,520,000 at trace 5)
+TALLY_BUDGET = 10 ** 9
 
 
 def lattice_theta_coefficients(lattice: LatticeGram, genus: int, trace_bound: int) -> FourierExpansion:
     """Exact coefficients c(A) = #{(x_1..x_genus) : Gram(x_i, x_j) = 2A}.
 
     The support covers every half-integral A with Tr(2A) <= 2 * trace_bound;
-    weight is rank/2 at level 1.  One kernel serves every genus: per tuple of
-    norm classes (n_1..n_genus) with sum <= 2 * trace_bound, each pair i < j
-    gives one digit t(x_i) G x_j + trace_bound of a mixed-radix code, which
+    weight is rank/2 at level 1.  Genus 1 reads the class sizes.  If a_ii = 0,
+    then x_i = 0 and row i of 2A is 0, so c(A) comes from the genus - 1 table.
+    Only tuples of nonzero vectors are tallied: per tuple of nonzero norm
+    classes (n_1..n_genus) with sum <= 2 * trace_bound, each pair i < j gives
+    one digit t(x_i) G x_j + trace_bound of a mixed-radix code, which
     Cauchy-Schwarz keeps in 0..2 * trace_bound; the codes are filled by
     broadcasting and counted by bincount, TALLY_CHUNK at a time.  Cost guards:
-    genus <= 3 and trace_bound <= 8, and genus <= 2 and trace_bound <= 4 at
-    rank 16 (trace 5 would enumerate 46.5M vectors).
+    genus <= 3 and trace_bound <= 8, genus <= 2 and trace_bound <= 4 at
+    rank 16 (trace 5 would enumerate 46.5M vectors), and TALLY_BUDGET tuples.
     """
     if genus < 1:
         raise ValueError("genus must be >= 1")
@@ -349,10 +349,24 @@ def lattice_theta_coefficients(lattice: LatticeGram, genus: int, trace_bound: in
     if genus > 3:
         raise ValueError("genus is guarded to <= 3")
     bound = 2 * trace_bound
-    gram_np = np.array(lattice.gram, dtype=np.int64)
     vecs = short_vectors(lattice, bound)
     vec_norms = _enumerate(lattice, bound)[1]     # exact, cached beside vecs by that call
     sizes = np.bincount(vec_norms)
+    if genus == 1:
+        tally = {(n,): int(sizes[n]) for n in np.flatnonzero(sizes).tolist()}
+        return FourierExpansion(1, 1, lattice.rank // 2, tally, trace_bound=bound)
+    # sizes[0] == 1: the zero vector is alone in its class, and no tallied tuple holds it
+    combos = [combo for combo in product(np.flatnonzero(sizes)[1:].tolist(), repeat=genus)
+              if sum(combo) <= bound]
+    tuples = sum(math.prod(int(sizes[n]) for n in combo) for combo in combos)
+    if tuples > TALLY_BUDGET:
+        raise ValueError(f"{tuples} tuples of nonzero vectors exceed TALLY_BUDGET = {TALLY_BUDGET}")
+    tally = {}
+    for a, count in lattice_theta_coefficients(lattice, genus - 1, trace_bound).items():
+        for i in range(genus):            # a zero row and column at i
+            two_a = np.insert(np.insert(a.twoA, i, 0, axis=0), i, 0, axis=1)
+            tally[tuple(two_a[np.triu_indices(genus)].tolist())] = count
+    gram_np = np.array(lattice.gram, dtype=np.int64)
     pairs = list(combinations(range(genus), 2))
     radix = bound + 1
     weights = [radix ** (len(pairs) - 1 - p) for p in range(len(pairs))]
@@ -364,10 +378,7 @@ def lattice_theta_coefficients(lattice: LatticeGram, genus: int, trace_bound: in
     def digits(left, n, i, j, weight):    # weight * t(x_i) G x_j for x_j of norm n, on axes i and j
         return weight * np.expand_dims(left @ gram_np @ rows(n).T, tuple(set(range(genus)) - {i, j}))
 
-    tally = {}
-    for combo in product(np.flatnonzero(sizes).tolist(), repeat=genus):
-        if sum(combo) > bound:
-            continue
+    for combo in combos:
         shape = [int(sizes[n]) for n in combo]
         # pairs within the later axes once; pairs with the first, per chunk
         code = trace_bound * sum(weights) + sum(digits(rows(combo[i]), combo[j], i, j, w)
@@ -377,9 +388,7 @@ def lattice_theta_coefficients(lattice: LatticeGram, genus: int, trace_bound: in
         for start in range(0, shape[0], step):
             chunk = code + sum(digits(rows(combo[0])[start:start + step], combo[j], 0, j, w)
                                for (i, j), w in zip(pairs, weights) if not i)
-            # every cell is one tuple, except at genus 1: no pairs, one code for the whole chunk
-            per_code = min(step, shape[0] - start) * math.prod(shape[1:]) // np.size(chunk)
-            counts = counts + per_code * np.bincount(np.ravel(chunk), minlength=radix ** len(pairs))
+            counts = counts + np.bincount(np.ravel(chunk), minlength=radix ** len(pairs))
         for value in np.flatnonzero(counts).tolist():
             off = iter([value // w % radix - trace_bound for w in weights])
             key = tuple(combo[i] if i == j else next(off) for i in range(genus) for j in range(i, genus))
@@ -390,8 +399,8 @@ def lattice_theta_coefficients(lattice: LatticeGram, genus: int, trace_bound: in
 def schottky_chi8_coefficients(genus: int, trace_bound: int) -> FourierExpansion:
     """Coefficient table of theta(E8+E8) - theta(E16) at genus <= 2.
 
-    Identically zero on the computed support; the genus-4 nonvanishing is out
-    of reach at desk scale and deliberately not computed.
+    Identically zero on the computed support: the two theta series agree up
+    to genus 3 and first differ at genus 4 (Igusa's Schottky form).
     """
     if genus > 2:
         raise NotImplementedError("genus > 2 coefficients of the difference are not supported")

@@ -173,6 +173,17 @@ def test_rank16_trace_guard_enumerates_nothing(capsys, monkeypatch):
     assert "trace_bound <= 4" in json.loads(captured.err)["error"]
 
 
+def test_tally_budget_guard_tallies_nothing(capsys, monkeypatch):
+    def tally(*args):
+        raise AssertionError("the tuple budget must fire before any tuple is tallied")
+
+    monkeypatch.setattr(thetaforms, "combinations", tally)
+    assert main(["lattice-theta", "--lattice", "e8", "--genus", "3", "--bound", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "4907520000 tuples" in json.loads(captured.err)["error"]
+
+
 @pytest.mark.parametrize("error, code", [
     (np.linalg.LinAlgError("Matrix is not positive definite"), 3),
     (hodge.StepSizeError("Richardson disagreement"), 3),

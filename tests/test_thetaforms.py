@@ -217,7 +217,12 @@ def test_genus3_small_bound():
     assert f.coefficient(HalfIntegralMatrix(3, ((2, 0, 0), (0, 0, 0), (0, 0, 0)))) == 240
 
 
-def test_cost_guards():
+def test_cost_guards(monkeypatch):
+    def tally(*args):
+        raise AssertionError("a refused input must be refused before any tuple is tallied")
+
+    # the pairs of the mixed-radix code are the tally step's first use of combinations
+    monkeypatch.setattr(thetaforms, "combinations", tally)
     with pytest.raises(ValueError):
         lattice_theta_coefficients(named_lattice("e16"), 3, 1)
     with pytest.raises(ValueError):
@@ -229,6 +234,10 @@ def test_cost_guards():
         for trace_bound in (5, 8):
             with pytest.raises(ValueError, match="trace_bound <= 4"):
                 lattice_theta_coefficients(named_lattice(name), 1, trace_bound)
+    # E8 enumerates these in well under a second, but they hold more tuples than TALLY_BUDGET
+    for genus, trace_bound, tuples in ((3, 5, 4907520000), (2, 8, 1591200000)):
+        with pytest.raises(ValueError, match=f"{tuples} tuples"):
+            lattice_theta_coefficients(named_lattice("e8"), genus, trace_bound)
     with pytest.raises(NotImplementedError):
         schottky_chi8_coefficients(4, 1)
 
