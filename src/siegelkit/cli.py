@@ -30,18 +30,14 @@ from .siegelspace import SiegelPoint, random_siegel_point, random_tangent
 
 
 def _parse_tau(text):
+    """A JSON matrix of numbers or [re, im] pairs as a SiegelPoint; ValueError otherwise."""
     data = json.loads(text)
-    g = len(data)
-    rows = []
-    for row in data:
-        parsed = []
-        for entry in row:
-            if isinstance(entry, (int, float)):
-                parsed.append(complex(entry))
-            else:
-                parsed.append(complex(entry[0], entry[1]))
-        rows.append(parsed)
-    return SiegelPoint(g, np.array(rows, dtype=complex))
+    try:
+        rows = [[complex(*entry) if isinstance(entry, list) else complex(entry) for entry in row]
+                for row in data]
+    except TypeError as err:
+        raise ValueError(f"--tau {text} is not a matrix of numbers or [re, im] pairs") from err
+    return SiegelPoint(len(data), np.array(rows, dtype=complex))
 
 
 def _parse_char(text):
@@ -49,6 +45,17 @@ def _parse_char(text):
     bits1 = tuple(int(c) for c in left.strip())
     bits2 = tuple(int(c) for c in right.strip())
     return thetaforms.ThetaCharacteristic.from_doubled(bits1, bits2)
+
+
+def _read_expansion(path):
+    """The FourierExpansion stored as JSON at path; ValueError when it cannot be read."""
+    try:
+        with open(path) as fh:
+            return fourier.FourierExpansion.from_json(json.load(fh))
+    except OSError as err:
+        raise ValueError(f"cannot read {path}: {err.strerror}") from err
+    except KeyError as err:
+        raise ValueError(f"{path} holds no Fourier expansion: missing key {err}") from err
 
 
 def _emit(args, payload, as_csv_rows=None):
@@ -158,15 +165,13 @@ def _cmd_named_form(args):
 
 
 def _cmd_phi(args):
-    with open(args.input) as fh:
-        expansion = fourier.FourierExpansion.from_json(json.load(fh))
+    expansion = _read_expansion(args.input)
     image = fourier.siegel_phi(expansion)
     return _emit(args, image.to_json())
 
 
 def _cmd_cusp_check(args):
-    with open(args.input) as fh:
-        expansion = fourier.FourierExpansion.from_json(json.load(fh))
+    expansion = _read_expansion(args.input)
     ok, witness = fourier.is_cusp_level1(expansion)
     payload = {"cusp": ok}
     if witness is not None:
@@ -178,8 +183,7 @@ def _cmd_cusp_check(args):
 
 
 def _cmd_symmetry_check(args):
-    with open(args.input) as fh:
-        expansion = fourier.FourierExpansion.from_json(json.load(fh))
+    expansion = _read_expansion(args.input)
     v = exact.from_json_entries(json.loads(args.v))
     u = exact.from_json_entries(json.loads(args.u))
     ctx = fourier.SlashContext(v, u, level=expansion.level)

@@ -147,14 +147,19 @@ def inverse(a):
 
 
 def from_json_entries(rows):
-    """Parse a JSON matrix whose entries are ints or exact 'p/q' strings."""
+    """Parse a JSON matrix whose entries are ints or exact 'p/q' strings; ValueError otherwise."""
+    if not isinstance(rows, (list, tuple)) or not all(isinstance(row, (list, tuple)) for row in rows):
+        raise ValueError(f"{rows!r} is not a matrix")
     out = []
     for row in rows:
         parsed = []
         for x in row:
             if not isinstance(x, (str, int)):
                 raise ValueError(f"entry {x!r} is not an exact integer or rational string")
-            parsed.append(entry(x))
+            try:
+                parsed.append(entry(x))
+            except ZeroDivisionError as err:
+                raise ValueError(f"entry {x!r} has a zero denominator") from err
         out.append(tuple(parsed))
     return tuple(out)
 

@@ -16,7 +16,6 @@ by a bincount of mixed-radix codes of their inner products; a coefficient
 with a zero on the diagonal is read from the table one genus down.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,36 +35,33 @@ class TruncationError(RuntimeError):
 
 @dataclass(frozen=True)
 class ThetaCharacteristic:
-    """A pair of vectors in {0, 1/2}^g; parity decides even/odd."""
+    """A characteristic (s1/2, s2/2) held as doubled bits s1, s2 in {0, 1}^g; parity decides even/odd."""
 
     g: int
-    eps1: tuple
-    eps2: tuple
+    s1: tuple
+    s2: tuple
 
     def __post_init__(self):
-        e1 = tuple(Fraction(x) for x in self.eps1)
-        e2 = tuple(Fraction(x) for x in self.eps2)
-        object.__setattr__(self, "eps1", e1)
-        object.__setattr__(self, "eps2", e2)
-        if len(e1) != self.g or len(e2) != self.g:
-            raise ValueError("characteristic vectors must have length g")
-        if any(x not in (Fraction(0), Fraction(1, 2)) for x in e1 + e2):
-            raise ValueError("characteristic entries must be 0 or 1/2")
+        for name in ("s1", "s2"):
+            given = tuple(getattr(self, name))
+            bits = tuple(int(x) for x in given)
+            if len(bits) != self.g:
+                raise ValueError("characteristic vectors must have length g")
+            if bits != given or any(b not in (0, 1) for b in bits):
+                raise ValueError("doubled characteristic entries must be the bits 0 or 1")
+            object.__setattr__(self, name, bits)
 
     @classmethod
     def from_doubled(cls, bits1, bits2):
-        return cls(len(bits1),
-                   tuple(Fraction(b, 2) for b in bits1),
-                   tuple(Fraction(b, 2) for b in bits2))
+        return cls(len(bits1), tuple(bits1), tuple(bits2))
 
     def doubled(self):
-        return (tuple(int(2 * x) for x in self.eps1), tuple(int(2 * x) for x in self.eps2))
+        return self.s1, self.s2
 
     @property
     def parity(self):
-        """exp(4 pi i t(eps1) eps2) as +-1."""
-        s1, s2 = self.doubled()
-        return -1 if sum(a * b for a, b in zip(s1, s2)) % 2 else 1
+        """exp(4 pi i t(eps1) eps2) = (-1)^(t(s1) s2) as +-1."""
+        return -1 if sum(a * b for a, b in zip(self.s1, self.s2)) % 2 else 1
 
     @property
     def is_even(self):
@@ -111,16 +107,18 @@ def theta_constant(char: ThetaCharacteristic, tau: SiegelPoint,
                    trunc: TruncationParams = TruncationParams()) -> complex:
     """Truncated theta constant with characteristic.
 
-    The box is shifted per coordinate so that it is symmetric under
-    n -> -n - 2 eps1, which makes odd characteristics cancel in exact pairs.
+    The sum runs over d = 2(n + eps1) in a box that is symmetric under
+    d -> -d, which makes odd characteristics cancel in exact pairs.
     Raises TruncationError when the certified tail exceeds the target.
     """
-    value, tail = theta_constant_with_tail(char, tau, trunc)
-    return value
+    return theta_constant_with_tail(char, tau, trunc)[0]
 
 
 def theta_constant_with_tail(char: ThetaCharacteristic, tau: SiegelPoint,
                              trunc: TruncationParams = TruncationParams()):
+    """(theta[eps](tau), certified tail): exp(pi i/4 t(d) tau d) i^(t(d) s2) summed in box
+    order over d = 2n + s1, axis k running over -2r - b .. 2r + b in steps of 2 (b = s1_k,
+    r = radius).  Raises TruncationError when the tail exceeds the target."""
     if char.g != tau.g:
         raise ValueError("characteristic and point have different degrees")
     tail = theta_tail_estimate(tau, trunc)
@@ -128,16 +126,12 @@ def theta_constant_with_tail(char: ThetaCharacteristic, tau: SiegelPoint,
         raise TruncationError(
             f"tail estimate {tail:.3e} exceeds target {trunc.target:.3e}; increase the radius"
         )
-    g = tau.g
     r = trunc.radius
-    s1, _ = char.doubled()
-    ranges = [np.arange(-r - 1, r + 1) if b else np.arange(-r, r + 1) for b in s1]
-    grids = np.meshgrid(*ranges, indexing="ij")
-    n = np.stack([grid.ravel() for grid in grids], axis=1).astype(float)
-    m = n + np.array([float(x) for x in char.eps1])
-    quad = np.einsum("ni,ij,nj->n", m, tau.tau, m)
-    phase = 2 * math.pi * (m @ np.array([float(x) for x in char.eps2]))
-    return complex(np.sum(np.exp(1j * math.pi * quad + 1j * phase))), tail
+    axes = [np.arange(-2 * r - b, 2 * r + b + 1, 2) for b in char.s1]
+    d = np.stack([grid.ravel() for grid in np.meshgrid(*axes, indexing="ij")], axis=1)
+    quad = np.einsum("ni,ij,nj->n", d, tau.tau, d)
+    phases = np.array([1, 1j, -1, -1j])[d @ np.array(char.s2) % 4]
+    return complex(np.sum(np.exp(1j * math.pi / 4 * quad) * phases)), tail
 
 
 # --- even unimodular lattices -------------------------------------------------
@@ -420,42 +414,23 @@ def _even_theta_product(tau: SiegelPoint, trunc: TruncationParams, square: bool)
     return value
 
 
-_CHI10_CALIBRATION = {}
+@lru_cache(maxsize=1)
+def chi10_normalization() -> float:
+    """The constant c = -2^-14 with c * prod theta[eps]^2 = sin^2(pi z) q1 q2 + ... .
 
-
-def chi10_normalization(trunc: TruncationParams = TruncationParams(radius=8, target=1e-12)) -> complex:
-    """Constant c with c * prod theta[eps]^2 = (q1 q2 + ...) (pi z)^2 + ... .
-
-    The constant is estimated from second differences in z at a point far up
-    the cusp (where corrections are exponentially small), Richardson-refined,
-    and snapped to +-2^-12 or +-2^-14 when the estimate confirms that value.
-    Raises RuntimeError, and caches nothing, when it confirms none of them.
+    The product's q1 q2 term is 4096 (zeta - 2 + 1/zeta) q1 q2 = -2^14 sin^2(pi z) q1 q2
+    (Igusa 1962).  At tau0 = [[3.5i, 1/4], [1/4, 3.8i]] the next terms are below 1e-8 of
+    it, so c * prod theta^2 must match it to 1e-6; else RuntimeError, and nothing is cached.
     """
-    key = trunc.radius
-    if key in _CHI10_CALIBRATION:
-        return _CHI10_CALIBRATION[key]
-    t1, t2 = 3.5, 3.8
-    q1q2 = cmath.exp(2j * math.pi * (1j * t1)) * cmath.exp(2j * math.pi * (1j * t2))
-
-    def product_at(z):
-        tau = SiegelPoint(2, np.array([[1j * t1, z], [z, 1j * t2]], dtype=complex))
-        return _even_theta_product(tau, trunc, square=True)
-
-    def estimate(h):
-        second = (product_at(h) + product_at(-h) - 2 * product_at(0.0)) / (h * h)
-        return second / (2 * math.pi ** 2 * q1q2)
-
-    h = 0.05
-    c_inv = (4 * estimate(h / 2) - estimate(h)) / 3
-    # candidate constants: 2^12 (the classical value in the usual variables)
-    # and 2^14 (the same constant transported to this development, where
-    # the leading term carries (pi z)^2 against half-integer characteristics)
-    for candidate in (2 ** 12, -(2 ** 12), 2 ** 14, -(2 ** 14)):
-        if abs(c_inv - candidate) <= 1e-3 * abs(candidate):
-            _CHI10_CALIBRATION[key] = 1.0 / candidate
-            return _CHI10_CALIBRATION[key]
-    raise RuntimeError(f"chi10 normalization estimate 1/c = {c_inv:.6g} is within 1e-3 "
-                       "of none of +-2^12, +-2^14")
+    c = -(2.0 ** -14)
+    t1, t2, z = 3.5, 3.8, 0.25
+    tau0 = SiegelPoint(2, np.array([[1j * t1, z], [z, 1j * t2]]))
+    leading = math.sin(math.pi * z) ** 2 * math.exp(-2 * math.pi * (t1 + t2))
+    ratio = c * _even_theta_product(tau0, TruncationParams(), square=True) / leading
+    if abs(ratio - 1) > 1e-6:
+        raise RuntimeError(f"the chi10 leading-term estimate c * prod theta^2 / (sin^2(pi z) q1 q2) "
+                           f"= {ratio:.9g} at tau0 is not within 1e-6 of 1")
+    return c
 
 
 def chi10(tau: SiegelPoint, trunc: TruncationParams = TruncationParams(radius=10, target=1e-8)) -> complex:

@@ -161,6 +161,27 @@ def test_usage_errors(capsys):
     assert "--tau" in json.loads(capsys.readouterr().err)["error"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["theta", "--char", "0;0", "--tau", "5"],
+    ["theta", "--char", "0;0", "--tau", "[[null]]"],
+    ["theta", "--char", "0;0", "--tau", "[[[1]]]"],
+    ["symmetry-check", "--input", "TABLE", "--v", "5", "--u", "[[0,0],[0,0]]"],
+    ["symmetry-check", "--input", "TABLE", "--v", '[["1/0"]]', "--u", "[[0,0],[0,0]]"],
+    ["cusp-check", "--input", "MISSING"],
+    ["phi", "--input", "NO_COEFFS"],
+])
+def test_malformed_input_exits_2(capsys, tmp_path, argv):
+    table = lattice_theta_coefficients(named_lattice("e8"), 2, 1).to_json()
+    files = {"TABLE": tmp_path / "table.json", "MISSING": tmp_path / "missing.json",
+             "NO_COEFFS": tmp_path / "no_coeffs.json"}
+    files["TABLE"].write_text(json.dumps(table))
+    files["NO_COEFFS"].write_text(json.dumps({k: v for k, v in table.items() if k != "coeffs"}))
+    assert main([str(files.get(arg, arg)) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error" in json.loads(captured.err)
+
+
 def test_rank16_trace_guard_enumerates_nothing(capsys, monkeypatch):
     def enumerate_vectors(*args):
         raise AssertionError("the trace guard must fire before any enumeration")

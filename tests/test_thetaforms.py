@@ -252,14 +252,15 @@ def test_chi10_normalization_confirms_classical_constant():
     assert c == -(2.0 ** -14)
 
 
-def test_chi10_normalization_raises_on_a_miss(monkeypatch):
+@pytest.mark.parametrize("scale", [1.5, -1, 0.25])
+def test_chi10_normalization_raises_on_a_miss(monkeypatch, scale):
     product = thetaforms._even_theta_product
     monkeypatch.setattr(thetaforms, "_even_theta_product",
-                        lambda tau, trunc, square: 1.5 * product(tau, trunc, square))
-    monkeypatch.setattr(thetaforms, "_CHI10_CALIBRATION", {})
+                        lambda tau, trunc, square: scale * product(tau, trunc, square))
+    chi10_normalization.cache_clear()
     with pytest.raises(RuntimeError, match="estimate"):
         chi10_normalization()
-    assert thetaforms._CHI10_CALIBRATION == {}
+    assert chi10_normalization.cache_info().currsize == 0
 
 
 def test_chi10_leading_development():
