@@ -11,9 +11,12 @@ point only seeds the coordinate ranges and prunes, and membership is decided
 by exact integer arithmetic.  The tree covers only the half of the set whose
 first nonzero coordinate is positive (and 0); the other half is its negative.
 The exact norms the tree computes are cached beside the vectors.  One tally
-kernel counts genus-g tuples of nonzero vectors (at most TALLY_BUDGET = 10^9)
-by a bincount of mixed-radix codes of their inner products; a coefficient
-with a zero on the diagonal is read from the table one genus down.
+kernel covers genus-g tuples of nonzero vectors (at most TALLY_BUDGET = 10^9,
+counted over the full classes) by a bincount of mixed-radix codes of their
+inner products.  It tallies only tuples from the positive halves of the norm
+classes and unfolds the signs on the histogram, where flipping x_k reflects
+the digits of the pairs holding k.  A coefficient with a zero on the
+diagonal is read from the table one genus down.
 """
 
 import math
@@ -314,9 +317,10 @@ def short_vectors(lattice: LatticeGram, bound: int):
     return _enumerate(lattice, bound)[0]
 
 
-# codes per bincount pass, rounded to whole vectors of the first class
+# codes per bincount pass, rounded to whole vectors of the first class's positive half
 TALLY_CHUNK = 1 << 16
-# tuples one call may tally (E8 genus 3: 387,072,000 at trace 4, 4,907,520,000 at trace 5)
+# tuples of nonzero vectors one call may cover, counted over the full classes although
+# only the positive halves are tallied (E8 genus 3: 387,072,000 at trace 4, 4,907,520,000 at 5)
 TALLY_BUDGET = 10 ** 9
 
 
@@ -326,20 +330,26 @@ def lattice_theta_coefficients(lattice: LatticeGram, genus: int, trace_bound: in
     The support covers every half-integral A with Tr(2A) <= 2 * trace_bound;
     weight is rank/2 at level 1.  Genus 1 reads the class sizes.  If a_ii = 0,
     then x_i = 0 and row i of 2A is 0, so c(A) comes from the genus - 1 table.
-    Only tuples of nonzero vectors are tallied: per tuple of nonzero norm
-    classes (n_1..n_genus) with sum <= 2 * trace_bound, each pair i < j gives
-    one digit t(x_i) G x_j + trace_bound of a mixed-radix code, which
+    Per tuple of nonzero norm classes (n_1..n_genus) with sum <= 2 * trace_bound,
+    only tuples from the positive halves of the classes are tallied: each pair
+    i < j gives one digit t(x_i) G x_j + trace_bound of a mixed-radix code, which
     Cauchy-Schwarz keeps in 0..2 * trace_bound; the codes are filled by
-    broadcasting and counted by bincount, TALLY_CHUNK at a time.  Cost guards:
-    genus <= 3 and trace_bound <= 8, genus <= 2 and trace_bound <= 4 at
-    rank 16 (trace 5 would enumerate 46.5M vectors), and TALLY_BUDGET tuples.
+    broadcasting and counted by bincount, TALLY_CHUNK at a time.  The signs are
+    unfolded on the histogram: x_k -> -x_k reflects (np.flip) the digit of each
+    pair holding k, and s, -s give the same code, so the full counts are twice
+    the sum over the 2^(genus - 1) sign patterns with s_1 = +1.  Cost guards:
+    genus <= 3 and trace_bound <= 8; at rank 16, genus <= 2, trace_bound <= 4
+    (trace 5 would enumerate 46.5M vectors) and trace_bound <= 3 at genus 2
+    (trace 4 would hold 4,901,990,400 tuples); TALLY_BUDGET tuples of nonzero
+    vectors, counted over the full classes.
     """
     if genus < 1:
         raise ValueError("genus must be >= 1")
     if trace_bound < 1 or trace_bound > 8:
         raise ValueError("trace_bound must be in 1..8")
-    if lattice.rank >= 16 and (genus > 2 or trace_bound > 4):
-        raise ValueError("rank-16 lattices are guarded to genus <= 2 and trace_bound <= 4")
+    if lattice.rank >= 16 and (genus > 2 or trace_bound > (4 if genus == 1 else 3)):
+        raise ValueError("rank-16 lattices are guarded to genus <= 2 and trace_bound <= 4 "
+                         "(trace_bound <= 3 at genus 2)")
     if genus > 3:
         raise ValueError("genus is guarded to <= 3")
     bound = 2 * trace_bound
@@ -358,22 +368,24 @@ def lattice_theta_coefficients(lattice: LatticeGram, genus: int, trace_bound: in
     tally = {}
     for a, count in lattice_theta_coefficients(lattice, genus - 1, trace_bound).items():
         for i in range(genus):            # a zero row and column at i
-            two_a = np.insert(np.insert(a.twoA, i, 0, axis=0), i, 0, axis=1)
-            tally[tuple(two_a[np.triu_indices(genus)].tolist())] = count
+            two_a = [row[:i] + (0,) + row[i:] for row in a.twoA]
+            two_a.insert(i, (0,) * genus)
+            tally[tuple(v for k, row in enumerate(two_a) for v in row[k:])] = count
     gram_np = np.array(lattice.gram, dtype=np.int64)
     pairs = list(combinations(range(genus), 2))
     radix = bound + 1
     weights = [radix ** (len(pairs) - 1 - p) for p in range(len(pairs))]
 
     @lru_cache(maxsize=None)
-    def rows(n):                          # the class of norm n, gathered only for a pair product
-        return vecs[vec_norms == n]
+    def rows(n):                          # the positive half of the class of norm n
+        half = len(vecs) // 2 + 1         # vecs[half:]: first nonzero coordinate positive
+        return vecs[half:][vec_norms[half:] == n]
 
     def digits(left, n, i, j, weight):    # weight * t(x_i) G x_j for x_j of norm n, on axes i and j
         return weight * np.expand_dims(left @ gram_np @ rows(n).T, tuple(set(range(genus)) - {i, j}))
 
     for combo in combos:
-        shape = [int(sizes[n]) for n in combo]
+        shape = [int(sizes[n]) // 2 for n in combo]
         # pairs within the later axes once; pairs with the first, per chunk
         code = trace_bound * sum(weights) + sum(digits(rows(combo[i]), combo[j], i, j, w)
                                                 for (i, j), w in zip(pairs, weights) if i)
@@ -383,6 +395,10 @@ def lattice_theta_coefficients(lattice: LatticeGram, genus: int, trace_bound: in
             chunk = code + sum(digits(rows(combo[0])[start:start + step], combo[j], 0, j, w)
                                for (i, j), w in zip(pairs, weights) if not i)
             counts = counts + np.bincount(np.ravel(chunk), minlength=radix ** len(pairs))
+        # x_k -> -x_k reflects the digit of every pair holding k; s and -s give the same code
+        cube = counts.reshape((radix,) * len(pairs))
+        counts = 2 * sum(np.flip(cube, [p for p, (i, j) in enumerate(pairs) if signs[i] != signs[j]])
+                         for signs in product((0,), *[(0, 1)] * (genus - 1))).ravel()
         for value in np.flatnonzero(counts).tolist():
             off = iter([value // w % radix - trace_bound for w in weights])
             key = tuple(combo[i] if i == j else next(off) for i in range(genus) for j in range(i, genus))

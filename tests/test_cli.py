@@ -194,6 +194,18 @@ def test_rank16_trace_guard_enumerates_nothing(capsys, monkeypatch):
     assert "trace_bound <= 4" in json.loads(captured.err)["error"]
 
 
+def test_rank16_genus2_trace_guard_enumerates_nothing(capsys, monkeypatch):
+    def enumerate_vectors(*args):
+        raise AssertionError("the genus-2 trace guard must fire before any enumeration")
+
+    monkeypatch.setattr(thetaforms, "short_vectors", enumerate_vectors)
+    monkeypatch.setattr(thetaforms, "_enumerate", enumerate_vectors)
+    assert main(["lattice-theta", "--lattice", "e16", "--genus", "2", "--bound", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "trace_bound <= 3 at genus 2" in json.loads(captured.err)["error"]
+
+
 def test_tally_budget_guard_tallies_nothing(capsys, monkeypatch):
     def tally(*args):
         raise AssertionError("the tuple budget must fire before any tuple is tallied")

@@ -1,4 +1,6 @@
 import cmath
+import hashlib
+import json
 import math
 from unittest import mock
 
@@ -209,6 +211,30 @@ def test_rank16_genus2_tables_agree():
     assert a.coeffs == b.coeffs
     assert a.coefficient(HalfIntegralMatrix(2, ((0, 0), (0, 0)))) == 1
     assert a.coefficient(HalfIntegralMatrix(2, ((2, 0), (0, 0)))) == 480
+
+
+# sha256 of json.dumps(table.to_json()), recorded from the full-tuple tally kernel
+# (every tuple of nonzero vectors, no sign unfolding); the two rank-16 tables agree
+PINNED_TABLES = {
+    ("e8", 2, 1): "5423a26038f3b4bf5f1a27b61b5a9907a3fb5a59a8cf048026ff61aea15c2d44",
+    ("e8", 2, 2): "f5050d269b690e902d36e2168669c96dd352306825f20cd25eb3e7e77a579e6d",
+    ("e8", 2, 3): "fb46d409f12d33bdc0a5380ba3bcba767b9d806390e7f259bb19a6fba42a4a3e",
+    ("e8", 2, 4): "70370c0f774860ad97408dd12101d033b49ef278d9a8a5cab9013fdbced081e1",
+    ("e8", 2, 5): "9ad59b3cb11a0b4d97a6517f17a0099a991095aa82a5c935857069570dc0676d",
+    ("e8", 3, 1): "ac40ad10a7b397aa75019e1f577914d7c4b746786b827ebf15b246228435e6f6",
+    ("e8", 3, 2): "9fbefe348b9a35a874ce59fe208e15a1e2c86ca08b0e2fb4f6ccedc0c00430a8",
+    ("e8", 3, 3): "9e1638991ae067be31a24087feb54c849a2d6e506c50b5cb74d48bdcd065deb1",
+    ("e8", 3, 4): "53fe74875c12e960f44aef4bdf0f585635615f8f8316a464545d61d0416dc3ce",
+    ("e8e8", 2, 2): "6fa2650389c89e66a004597a44bca5748d395f41172a09215b1229c766e79cc4",
+    ("e16", 2, 2): "6fa2650389c89e66a004597a44bca5748d395f41172a09215b1229c766e79cc4",
+}
+
+
+@pytest.mark.parametrize("name, genus, trace_bound", sorted(PINNED_TABLES))
+def test_lattice_tables_match_pinned_hashes(name, genus, trace_bound):
+    table = lattice_theta_coefficients(named_lattice(name), genus, trace_bound)
+    digest = hashlib.sha256(json.dumps(table.to_json()).encode()).hexdigest()
+    assert digest == PINNED_TABLES[name, genus, trace_bound]
 
 
 def test_genus3_small_bound():
