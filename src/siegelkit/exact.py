@@ -82,6 +82,8 @@ def is_integral(a):
 
 def _integer_rows(a):
     """Rows of a scaled to integers: (rows, scales) with rows[i] = scales[i] * a[i]."""
+    if all(type(x) is int for row in a for x in row):
+        return [list(row) for row in a], [1] * len(a)
     rows, scales = [], []
     for row in a:
         row = [entry(x) for x in row]
@@ -129,7 +131,8 @@ def det(a):
     sign, d = _eliminate(rows, n, full=False)
     if d is None:
         return 0
-    return quotient(sign * d, prod(scales))
+    scale = prod(scales)
+    return sign * d if scale == 1 else quotient(sign * d, scale)
 
 
 def inverse(a):

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
 
@@ -22,14 +21,20 @@ from .symplectic import SymplecticMatrix, congruence_membership
 from .siegelspace import SiegelPoint
 
 
-def _principal_minors_nonnegative(m):
-    """Exact PSD test for a symmetric integer matrix: all principal minors >= 0."""
-    n = len(m)
-    for size in range(1, n + 1):
-        for rows in combinations(range(n), size):
-            sub = tuple(tuple(m[i][j] for j in rows) for i in rows)
-            if exact.det(sub) < 0:
-                return False
+def _is_positive_semidefinite(m):
+    """Exact PSD test for a symmetric integer matrix by fraction-free symmetric elimination.
+
+    A negative pivot fails; a zero pivot needs an all-zero row, which then drops
+    out; a positive pivot p leaves p a_jk - a_jp a_pk, a positive multiple of the
+    Schur complement, which is PSD exactly when the matrix is.
+    """
+    rows = [list(row) for row in m]
+    while rows:
+        top, rest = rows[0], rows[1:]
+        p = top[0]
+        if p < 0 or (p == 0 and any(top)):
+            return False
+        rows = [[p * x - r[0] * y for x, y in zip(r[1:], top[1:])] if p else r[1:] for r in rest]
     return True
 
 
@@ -47,7 +52,7 @@ class HalfIntegralMatrix:
             raise ValueError(f"twoA must be {self.g} x {self.g}")
         if any(rows[i][j] != rows[j][i] for i in range(self.g) for j in range(self.g)):
             raise ValueError("twoA must be symmetric")
-        if not _principal_minors_nonnegative(rows):
+        if not _is_positive_semidefinite(rows):
             raise ValueError("A must be positive semidefinite")
 
     @classmethod

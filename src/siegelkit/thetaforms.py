@@ -129,12 +129,19 @@ def theta_constant_with_tail(char: ThetaCharacteristic, tau: SiegelPoint,
         raise TruncationError(
             f"tail estimate {tail:.3e} exceeds target {trunc.target:.3e}; increase the radius"
         )
-    r = trunc.radius
+    d, phases = _theta_box(char, trunc.radius)
+    quad = np.einsum("ni,ij,nj->n", d, tau.tau, d)
+    return complex(np.sum(np.exp(1j * math.pi / 4 * quad) * phases)), tail
+
+
+@lru_cache(maxsize=64)
+def _theta_box(char: ThetaCharacteristic, r: int):
+    """The box of d = 2n + s1 in its summation order and the phases i^(t(d) s2), read-only."""
     axes = [np.arange(-2 * r - b, 2 * r + b + 1, 2) for b in char.s1]
     d = np.stack([grid.ravel() for grid in np.meshgrid(*axes, indexing="ij")], axis=1)
-    quad = np.einsum("ni,ij,nj->n", d, tau.tau, d)
     phases = np.array([1, 1j, -1, -1j])[d @ np.array(char.s2) % 4]
-    return complex(np.sum(np.exp(1j * math.pi / 4 * quad) * phases)), tail
+    d.flags.writeable = phases.flags.writeable = False
+    return d, phases
 
 
 # --- even unimodular lattices -------------------------------------------------

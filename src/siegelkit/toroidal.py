@@ -8,6 +8,7 @@ standing regularity hypothesis on the polyhedral decompositions.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product
 from math import gcd
 
@@ -35,9 +36,10 @@ class ConeSigma:
             raise ValueError("rays must live in the ambient dimension")
         if any(not _primitive(r) for r in rays):
             raise ValueError("rays must be primitive")
-        # linear independence of the rays <=> simplicial & strongly convex, and
-        # rows R are independent exactly when the Gram matrix R t(R) is invertible
-        if len(rays) > 1 and exact.det(exact.mat_mul(rays, exact.transpose(rays))) == 0:
+        # linear independence of the rays <=> simplicial & strongly convex: a
+        # square R needs det R != 0, other rows R an invertible Gram matrix R t(R)
+        mat = rays if len(rays) == self.dimension else exact.mat_mul(rays, exact.transpose(rays))
+        if len(rays) > 1 and exact.det(mat) == 0:
             raise ValueError("rays must be linearly independent (simplicial cones only)")
 
     def ray_set(self):
@@ -59,12 +61,16 @@ class ConeSigma:
             faces[size] = [tuple(sub) for sub in combinations(self.rays, size)]
         return faces
 
+    @cached_property
+    def dual_basis(self):
+        """Rows pairing to 1 with their own ray and 0 with the others: inverse of t(rays), top cones only."""
+        return exact.inverse(exact.transpose(self.rays))
+
     def contains(self, point, strict=False):
         """Exact membership via the ray coordinates of the point."""
         if not self.is_top():
             raise ValueError("membership test implemented for top cones")
-        mat = exact.transpose(self.rays)
-        coords = exact.mat_vec(exact.inverse(mat), tuple(exact.entry(x) for x in point))
+        coords = exact.mat_vec(self.dual_basis, tuple(exact.entry(x) for x in point))
         if strict:
             return all(c > 0 for c in coords)
         return all(c >= 0 for c in coords)
@@ -73,24 +79,16 @@ class ConeSigma:
 # --- the degree-2 principal cone fixture --------------------------------------
 
 
-def _sym2_coords(s):
-    """Quadratic form [[a, b], [b, c]] -> (a, b, c)."""
-    return (s[0][0], s[0][1], s[1][1])
-
-
-def _sym2_matrix(v):
-    return ((v[0], v[1]), (v[1], v[2]))
-
-
 def gl2_image(u, cone: ConeSigma) -> ConeSigma:
-    """Image of a cone in Sym^2 coordinates under S -> U S t(U)."""
-    u = exact.to_exact(u)
-    rays = []
-    for ray in cone.rays:
-        s = exact.to_exact(_sym2_matrix(ray))
-        img = exact.mat_mul(exact.mat_mul(u, s), exact.transpose(u))
-        rays.append(tuple(int(x) for x in _sym2_coords(img)))
-    return ConeSigma(tuple(rays), cone.dimension)
+    """Image of a cone under S -> U S t(U), U in GL(2, Z), on the coordinates (a, b, c) of
+    S = [[a, b], [b, c]]."""
+    (p, q), (r, s) = exact.to_exact(u)
+    if not all(type(x) is int for x in (p, q, r, s)) or abs(p * s - q * r) != 1:
+        raise ValueError("U must be an integral 2 x 2 matrix with determinant +-1")
+    rays = tuple((a * p * p + 2 * b * p * q + c * q * q,
+                  a * p * r + b * (p * s + q * r) + c * q * s,
+                  a * r * r + 2 * b * r * s + c * s * s) for a, b, c in cone.rays)
+    return ConeSigma(rays, cone.dimension)
 
 
 def principal_cone(g=2) -> ConeSigma:
@@ -127,18 +125,20 @@ def principal_cone_fixture(g=2) -> PrincipalConeFixture:
         if len(shared) == 2 and image.ray_set() != sigma.ray_set():
             seen.setdefault(frozenset(image.ray_set()), (tuple(tuple(int(x) for x in r) for r in u), image))
     neighbors = tuple(seen.values())
-
-    cones = [sigma] + [img for _, img in neighbors]
-    admissible = True
-    for cone in cones:
-        for weights in ((1, 1, 1), (3, 1, 1), (1, 3, 1), (1, 1, 3), (2, 5, 1)):
-            point = tuple(sum(w * r[k] for w, r in zip(weights, cone.rays)) for k in range(3))
-            hits = sum(1 for other in cones if other.contains(point, strict=True))
-            if hits != 1:
-                admissible = False
+    admissible = sampled_overlap_free([sigma] + [img for _, img in neighbors])
     faces = sigma.face_lattice()
     face_counts = {d: len(fs) for d, fs in faces.items()}
     return PrincipalConeFixture(sigma, face_counts, neighbors, admissible)
+
+
+def sampled_overlap_free(cones) -> bool:
+    """True when each sampled interior point of each top cone lies strictly inside that cone only."""
+    for cone in cones:
+        for weights in ((1, 1, 1), (3, 1, 1), (1, 3, 1), (1, 1, 3), (2, 5, 1)):
+            point = tuple(sum(w * r[k] for w, r in zip(weights, cone.rays)) for k in range(cone.dimension))
+            if sum(1 for other in cones if other.contains(point, strict=True)) != 1:
+                return False
+    return True
 
 
 # --- dual monoids and level-change chart maps ---------------------------------
@@ -152,9 +152,7 @@ def dual_monoid_generators(cone: ConeSigma, level: int):
         )
     if level < 1:
         raise ValueError("level must be positive")
-    rays_t = exact.transpose(cone.rays)
-    dual_rows = exact.inverse(rays_t)      # row a pairs to 1 with ray a, 0 with others
-    return [tuple(exact.quotient(x, level) for x in row) for row in dual_rows]
+    return [tuple(exact.quotient(x, level) for x in row) for row in cone.dual_basis]
 
 
 @dataclass(frozen=True)

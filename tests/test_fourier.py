@@ -1,13 +1,18 @@
 import cmath
 import json
 import math
+from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from siegelkit import exact
 
 from siegelkit.siegelspace import SiegelPoint
 from siegelkit.fourier import (
     FourierExpansion,
+    _is_positive_semidefinite,
     HalfIntegralMatrix,
     SlashContext,
     decay_check,
@@ -17,6 +22,44 @@ from siegelkit.fourier import (
     symmetry_check,
 )
 from siegelkit.thetaforms import lattice_theta_coefficients, named_lattice, short_vectors
+
+
+def _principal_minors_nonnegative(m):
+    """Reference PSD test: every principal minor is >= 0."""
+    n = len(m)
+    return all(exact.det(tuple(tuple(m[i][j] for j in rows) for i in rows)) >= 0
+               for size in range(1, n + 1) for rows in combinations(range(n), size))
+
+
+def _symmetric(g, upper):
+    rows = [[0] * g for _ in range(g)]
+    it = iter(upper)
+    for i in range(g):
+        for j in range(i, g):
+            rows[i][j] = rows[j][i] = next(it)
+    return tuple(tuple(r) for r in rows)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_psd_elimination_matches_principal_minors_exhaustively(g):
+    for upper in product(range(-2, 3), repeat=g * (g + 1) // 2):
+        m = _symmetric(g, upper)
+        assert _is_positive_semidefinite(m) == _principal_minors_nonnegative(m), m
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-3, 3), min_size=10, max_size=10))
+def test_psd_elimination_matches_principal_minors_at_genus_4(upper):
+    m = _symmetric(4, upper)
+    assert _is_positive_semidefinite(m) == _principal_minors_nonnegative(m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.integers(-2, 2), min_size=4, max_size=4), min_size=1, max_size=4))
+def test_psd_elimination_matches_principal_minors_on_gram_matrices(rows):
+    # t(X) X is PSD, often singular; this exercises the zero-pivot branch at g = 4
+    m = exact.mat_mul(exact.transpose(rows), rows)
+    assert _is_positive_semidefinite(m) and _principal_minors_nonnegative(m)
 
 
 def test_half_integral_validation():

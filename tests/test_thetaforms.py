@@ -93,6 +93,42 @@ def test_theta_periodicity():
         assert abs(moved - phase * a) <= 1e-10 * max(1e-3, abs(a))
 
 
+THETA_BOX_POINTS = {
+    1: np.array([[0.2 + 0.9j]]),
+    2: np.array([[0.1 + 1j, 0.3 + 0.2j], [0.3 + 0.2j, -0.2 + 1.2j]]),
+    3: np.array([[0.1 + 1.1j, 0.3 + 0.2j, -0.1], [0.3 + 0.2j, 1.3j, 0.2 - 0.1j],
+                 [-0.1, 0.2 - 0.1j, -0.3 + 1.4j]]),
+}
+
+
+def _inline_box_theta(char, tau, trunc):
+    """The theta sum with its box built inline on every call, as before the box was cached."""
+    r = trunc.radius
+    axes = [np.arange(-2 * r - b, 2 * r + b + 1, 2) for b in char.s1]
+    d = np.stack([grid.ravel() for grid in np.meshgrid(*axes, indexing="ij")], axis=1)
+    quad = np.einsum("ni,ij,nj->n", d, tau.tau, d)
+    phases = np.array([1, 1j, -1, -1j])[d @ np.array(char.s2) % 4]
+    return complex(np.sum(np.exp(1j * math.pi / 4 * quad) * phases)), theta_tail_estimate(tau, trunc)
+
+
+@pytest.mark.parametrize("g, radius", [(1, 8), (2, 8), (2, 12), (3, 5)])
+def test_cached_theta_box_is_bit_identical_to_the_inline_box(g, radius):
+    tau = SiegelPoint(g, THETA_BOX_POINTS[g])
+    trunc = TruncationParams(radius=radius, target=1e-6)
+    for char in even_characteristics(g):
+        assert theta_constant_with_tail(char, tau, trunc) == _inline_box_theta(char, tau, trunc)
+
+
+def test_cached_theta_box_is_read_only():
+    char = even_characteristics(2)[3]
+    theta_constant(char, SiegelPoint(2, THETA_BOX_POINTS[2]), TruncationParams(radius=8, target=1e-6))
+    d, phases = thetaforms._theta_box(char, 8)
+    with pytest.raises(ValueError):
+        d[0, 0] = 0
+    with pytest.raises(ValueError):
+        phases[0] = 0
+
+
 def test_truncation_certificate():
     tau = SiegelPoint(1, np.array([[0.6j]]))
     char = ThetaCharacteristic.from_doubled((0,), (0,))

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -10,6 +11,7 @@ from siegelkit.toroidal import (
     monomial_map,
     principal_cone,
     principal_cone_fixture,
+    sampled_overlap_free,
     verify_divisor_pullback,
 )
 
@@ -28,6 +30,55 @@ def test_principal_cone_fixture():
         shared_facets.add(frozenset(shared))
     assert len(shared_facets) == 3
     assert fx.locally_admissible
+
+
+def test_principal_cone_neighbors_are_pinned():
+    assert principal_cone_fixture(2).neighbors == (
+        (((1, 1), (0, 1)), ConeSigma(((1, 0, 0), (1, 1, 1), (0, 0, 1)), 3)),
+        (((1, -1), (0, 1)), ConeSigma(((1, 0, 0), (1, -1, 1), (4, -2, 1)), 3)),
+        (((0, 1), (1, -1)), ConeSigma(((0, 0, 1), (1, -1, 1), (1, -2, 4)), 3)),
+    )
+
+
+def _fraction_coords(cone, point):
+    """Ray coordinates of a point by Fraction Gauss-Jordan on [t(rays) | point]."""
+    n = len(cone.rays)
+    rows = [[Fraction(cone.rays[j][i]) for j in range(n)] + [Fraction(point[i])] for i in range(n)]
+    for k in range(n):
+        pivot = next(r for r in range(k, n) if rows[r][k] != 0)
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        rows[k] = [x / rows[k][k] for x in rows[k]]
+        for r in range(n):
+            if r != k:
+                rows[r] = [x - rows[r][k] * y for x, y in zip(rows[r], rows[k])]
+    return [row[n] for row in rows]
+
+
+def test_contains_matches_a_fraction_inverse_on_a_grid():
+    fx = principal_cone_fixture(2)
+    for cone in [fx.cone] + [image for _, image in fx.neighbors]:
+        for point in product(range(-3, 4), repeat=3):
+            coords = _fraction_coords(cone, point)
+            assert cone.contains(point) == all(c >= 0 for c in coords)
+            assert cone.contains(point, strict=True) == all(c > 0 for c in coords)
+
+
+def test_sampled_overlap_check_can_fail():
+    sigma = principal_cone(2)
+    overlapping = ConeSigma(((1, 0, 0), (0, 0, 1), (2, -1, 1)), 3)
+    assert overlapping.is_smooth()
+    # 3 (1, 0, 0) + (0, 0, 1) + (1, -1, 1) = (4, -1, 2) = 2 (1, 0, 0) + (0, 0, 1) + (2, -1, 1)
+    assert sigma.contains((4, -1, 2), strict=True) and overlapping.contains((4, -1, 2), strict=True)
+    assert not sampled_overlap_free([sigma, overlapping])
+    assert sampled_overlap_free([sigma])
+
+
+def test_gl2_image_rejects_non_unimodular_matrices():
+    with pytest.raises(ValueError, match="determinant"):
+        gl2_image(((2, 1), (1, 2)), principal_cone(2))
+    with pytest.raises(ValueError):
+        gl2_image(((Fraction(1, 2), 0), (0, 2)), principal_cone(2))
+    assert gl2_image(((0, 1), (1, 0)), principal_cone(2)).ray_set() == principal_cone(2).ray_set()
 
 
 def test_shear_maps_cone_to_adjacent():
