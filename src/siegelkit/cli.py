@@ -178,7 +178,7 @@ def _cmd_cusp_check(args):
         payload["witness_twoA"] = [list(r) for r in witness.twoA]
         payload["witness_coefficient"] = expansion.coefficient(witness)
     if args.expect_cusp is not None:
-        payload["pass"] = ok == args.expect_cusp
+        payload["pass"] = ok == (args.expect_cusp == "true")
     return _emit(args, payload)
 
 
@@ -289,7 +289,7 @@ def build_parser():
 
     p = leaf(sub, "cusp-check", _cmd_cusp_check, "level-1 singular-coefficient cusp test")
     p.add_argument("--input", required=True)
-    p.add_argument("--expect-cusp", type=lambda s: s.lower() == "true", default=None)
+    p.add_argument("--expect-cusp", type=str.lower, choices=("true", "false"), default=None)
 
     p = leaf(sub, "symmetry-check", _cmd_symmetry_check, "coefficient symmetry under M(V, U)")
     p.add_argument("--input", required=True)

@@ -7,7 +7,9 @@ and ``from_json_entries`` return entries in that normal form; the ring
 operations keep ints as ints, and ``to_exact`` turns a Fraction that has
 become integral back into an int.  ``det`` and ``inverse`` eliminate
 fraction-free in the sense of Bareiss (Math. Comp. 22, 1968), so integer input
-never leaves the integers.  Everything here is small and dense.
+never leaves the integers; ``symmetric_pivots`` does the same for a symmetric
+integer matrix without row swaps, which decides PSD and definiteness and gives
+the Fincke-Pohst coefficients.  Everything here is small and dense.
 """
 
 from fractions import Fraction
@@ -118,6 +120,47 @@ def _eliminate(rows, n, full):
                 rows[r] = [(p * x - f * y) // prev for x, y in zip(rows[r], top)]
         prev = p
     return sign, prev
+
+
+def symmetric_integers(rows, n, name):
+    """rows as an n x n symmetric tuple of ints; ValueError on another shape, on an
+    asymmetric pair, or on an entry x with int(x) != x (2.5, the string '4', None, inf)."""
+    try:
+        out = tuple(tuple(int(x) for x in row) for row in rows)
+    except (TypeError, OverflowError) as err:
+        raise ValueError(f"{name} must have integer entries") from err
+    if out != tuple(map(tuple, rows)):
+        raise ValueError(f"{name} must have integer entries")
+    if len(out) != n or any(len(row) != n for row in out):
+        raise ValueError(f"{name} must be {n} x {n}")
+    if not is_symmetric(out):
+        raise ValueError(f"{name} must be symmetric")
+    return out
+
+
+def symmetric_pivots(m):
+    """The pivot rows [p_k, .., a_k,n-1] of a fraction-free symmetric elimination of the
+    integer matrix m without row swaps, or None when m is not positive semidefinite.
+
+    Each step replaces a row r below the top by (p_k r - r_0 top) // p_(k-1), the last
+    nonzero pivot (1 at first), exact by Sylvester's identity; p_k is a positive multiple
+    of the Schur-complement pivot.  A negative pivot fails; a zero pivot needs an all-zero
+    row, which is kept as row k and drops out.  m is definite when no p_k is 0, and then
+    m = t(U) D U with D_k = p_k / p_(k-1) and U_kj = row_k[j - k] / p_k.
+    """
+    rows, pivots, prev = [list(row) for row in m], [], 1
+    while rows:
+        top, rest = rows[0], rows[1:]
+        p = top[0]
+        if p < 0 or (p == 0 and any(top)):
+            return None
+        pivots.append(top)
+        if p:
+            rows = [[(p * x - r[0] * y) // prev for x, y in zip(r[1:], top[1:])] for r in rest]
+            prev = p
+        else:
+            rows = [r[1:] for r in rest]
+    return pivots
 
 
 def det(a):

@@ -11,7 +11,6 @@ import cmath
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -19,23 +18,6 @@ import numpy as np
 from . import exact
 from .symplectic import SymplecticMatrix, congruence_membership
 from .siegelspace import SiegelPoint
-
-
-def _is_positive_semidefinite(m):
-    """Exact PSD test for a symmetric integer matrix by fraction-free symmetric elimination.
-
-    A negative pivot fails; a zero pivot needs an all-zero row, which then drops
-    out; a positive pivot p leaves p a_jk - a_jp a_pk, a positive multiple of the
-    Schur complement, which is PSD exactly when the matrix is.
-    """
-    rows = [list(row) for row in m]
-    while rows:
-        top, rest = rows[0], rows[1:]
-        p = top[0]
-        if p < 0 or (p == 0 and any(top)):
-            return False
-        rows = [[p * x - r[0] * y for x, y in zip(r[1:], top[1:])] if p else r[1:] for r in rest]
-    return True
 
 
 @dataclass(frozen=True)
@@ -46,13 +28,9 @@ class HalfIntegralMatrix:
     twoA: tuple
 
     def __post_init__(self):
-        rows = tuple(tuple(int(x) for x in row) for row in self.twoA)
+        rows = exact.symmetric_integers(self.twoA, self.g, "twoA")
         object.__setattr__(self, "twoA", rows)
-        if len(rows) != self.g or any(len(r) != self.g for r in rows):
-            raise ValueError(f"twoA must be {self.g} x {self.g}")
-        if any(rows[i][j] != rows[j][i] for i in range(self.g) for j in range(self.g)):
-            raise ValueError("twoA must be symmetric")
-        if not _is_positive_semidefinite(rows):
+        if exact.symmetric_pivots(rows) is None:
             raise ValueError("A must be positive semidefinite")
 
     @classmethod
@@ -153,7 +131,7 @@ class FourierExpansion:
         g = data["genus"]
         coeffs = {}
         for entry in data["coeffs"]:
-            a = HalfIntegralMatrix(g, tuple(tuple(r) for r in entry["twoA"]))
+            a = HalfIntegralMatrix(g, entry["twoA"])
             coeffs[a] = _coeff_from_json(entry["re"], entry["im"])
         return cls(g, data["level"], data["weight"], coeffs, data.get("trace_bound", 0))
 
@@ -220,11 +198,11 @@ def symmetry_check(f: FourierExpansion, ctx: SlashContext, tol=1e-9):
         tr2 = sum(transported[i][i] for i in range(f.g))
         if tr2 > f.trace_bound:
             continue
-        image = HalfIntegralMatrix(f.g, tuple(tuple(int(x) for x in row) for row in transported))
-        # Tr(AVU) with A = twoA / 2, exactly rational
+        image = HalfIntegralMatrix(f.g, transported)
+        # Tr(AVU) with A = twoA / 2: int true division rounds the exact half once
         avu = exact.mat_mul(exact.mat_mul(two_a, v), u)
-        tr_avu = Fraction(sum(avu[i][i] for i in range(f.g)), 2)
-        phase = cmath.exp(-1j * math.pi * float(tr_avu) / f.level)
+        tr_avu = sum(avu[i][i] for i in range(f.g)) / 2
+        phase = cmath.exp(-1j * math.pi * tr_avu / f.level)
         expected = (float(det_v) ** f.weight) * phase * complex(c)
         got = complex(f.coefficient(image))
         if abs(got - expected) > tol:

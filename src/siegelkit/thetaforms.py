@@ -5,10 +5,11 @@ constants), and the weight-8 difference of the two rank-16 even unimodular
 theta series.
 
 Lattice coefficients are exact integers.  Short vectors come from a
-Fincke-Pohst enumeration over an exact (rational Cholesky) decomposition of the
-Gram matrix, expanded level by level over the whole frontier in numpy; floating
-point only seeds the coordinate ranges and prunes, and membership is decided
-by exact integer arithmetic.  The tree covers only the half of the set whose
+Fincke-Pohst enumeration whose coefficients are read off the pivot rows of one
+fraction-free symmetric elimination of the Gram matrix (`exact.symmetric_pivots`),
+expanded level by level over the whole frontier in numpy; floating point only
+seeds the coordinate ranges and prunes, and membership is decided by exact
+integer arithmetic.  The tree covers only the half of the set whose
 first nonzero coordinate is positive (and 0); the other half is its negative.
 The exact norms the tree computes are cached beside the vectors.  One tally
 kernel covers genus-g tuples of nonzero vectors (at most TALLY_BUDGET = 10^9,
@@ -21,7 +22,6 @@ diagonal is read from the table one genus down.
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 
@@ -136,10 +136,12 @@ def theta_constant_with_tail(char: ThetaCharacteristic, tau: SiegelPoint,
 
 @lru_cache(maxsize=64)
 def _theta_box(char: ThetaCharacteristic, r: int):
-    """The box of d = 2n + s1 in its summation order and the phases i^(t(d) s2), read-only."""
+    """The box of d = 2n + s1 in its summation order and the phases i^(t(d) s2), read-only;
+    d is int8 up to r = 63, which einsum casts to complex128 exactly."""
     axes = [np.arange(-2 * r - b, 2 * r + b + 1, 2) for b in char.s1]
     d = np.stack([grid.ravel() for grid in np.meshgrid(*axes, indexing="ij")], axis=1)
     phases = np.array([1, 1j, -1, -1j])[d @ np.array(char.s2) % 4]
+    d = d.astype(np.min_scalar_type(-2 * r - 2))
     d.flags.writeable = phases.flags.writeable = False
     return d, phases
 
@@ -156,18 +158,13 @@ class LatticeGram:
     gram: tuple
 
     def __post_init__(self):
-        rows = tuple(tuple(int(x) for x in row) for row in self.gram)
+        rows = exact.symmetric_integers(self.gram, self.rank, "gram")
         object.__setattr__(self, "gram", rows)
-        if len(rows) != self.rank or any(len(r) != self.rank for r in rows):
-            raise ValueError("gram must be rank x rank")
-        if any(rows[i][j] != rows[j][i] for i in range(self.rank) for j in range(self.rank)):
-            raise ValueError("gram must be symmetric")
         if any(rows[i][i] % 2 for i in range(self.rank)):
             raise ValueError("lattice must be even")
-        for k in range(1, self.rank + 1):
-            lead = tuple(row[:k] for row in rows[:k])
-            if exact.det(lead) <= 0:
-                raise ValueError("gram must be positive definite")
+        pivots = exact.symmetric_pivots(rows)
+        if pivots is None or not all(row[0] for row in pivots):
+            raise ValueError("gram must be positive definite")
 
     def determinant(self):
         return exact.det(self.gram)
@@ -186,33 +183,21 @@ class LatticeGram:
 
 
 def _cartan_e8():
-    edges = {(1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (2, 4)}
-    rows = [[0] * 8 for _ in range(8)]
-    for i in range(8):
-        rows[i][i] = 2
-    for a, b in edges:
-        rows[a - 1][b - 1] = rows[b - 1][a - 1] = -1
-    return tuple(tuple(r) for r in rows)
+    a, b = np.array([(1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (2, 4)]).T - 1
+    cartan = 2 * np.eye(8, dtype=np.int64)
+    cartan[a, b] = cartan[b, a] = -1
+    return cartan
 
 
 def _d16_plus_gram():
-    # basis: the glue vector (1/2, ..., 1/2) followed by e_i - e_{i+1}
+    # basis B: the glue vector (1/2, ..., 1/2) followed by e_i - e_{i+1}
     # (i = 2..15) and e_15 + e_16; doubled coordinates keep it integral
-    basis = []
-    glue = [1] * 16
-    basis.append(glue)
-    for i in range(1, 15):
-        v = [0] * 16
-        v[i] = 2
-        v[i + 1] = -2
-        basis.append(v)
-    v = [0] * 16
-    v[14] = 2
-    v[15] = 2
-    basis.append(v)
-    gram = [[sum(a * b for a, b in zip(basis[i], basis[j])) // 4 for j in range(16)]
-            for i in range(16)]
-    return tuple(tuple(r) for r in gram)
+    basis = np.zeros((16, 16), dtype=np.int64)
+    basis[0] = 1
+    i = np.arange(1, 15)
+    basis[i, i], basis[i, i + 1] = 2, -2
+    basis[15, 14:] = 2
+    return basis @ basis.T // 4
 
 
 @lru_cache(maxsize=None)
@@ -221,29 +206,20 @@ def named_lattice(name: str) -> LatticeGram:
     if key == "e8":
         return LatticeGram("E8", 8, _cartan_e8())
     if key in ("e8e8", "e8xe8"):
-        e8 = _cartan_e8()
-        rows = [[0] * 16 for _ in range(16)]
-        for i in range(8):
-            for j in range(8):
-                rows[i][j] = e8[i][j]
-                rows[8 + i][8 + j] = e8[i][j]
-        return LatticeGram("E8+E8", 16, tuple(tuple(r) for r in rows))
+        return LatticeGram("E8+E8", 16, np.kron(np.eye(2, dtype=np.int64), _cartan_e8()))
     if key == "e16":
         return LatticeGram("E16", 16, _d16_plus_gram())
     raise ValueError(f"unknown lattice {name!r}")
 
 
-def _exact_cholesky(gram):
-    """Fincke-Pohst coefficients: Q(x) = sum_i q[i][i] (x_i + sum_{j>i} q[i][j] x_j)^2."""
-    r = len(gram)
-    q = [[Fraction(gram[i][j]) for j in range(r)] for i in range(r)]
-    for i in range(r):
-        for j in range(i + 1, r):
-            q[j][i] = q[i][j]
-            q[i][j] = q[i][j] / q[i][i]
-        for k in range(i + 1, r):
-            for l in range(k, r):
-                q[k][l] = q[k][l] - q[k][i] * q[i][l]
+def _fincke_pohst(gram):
+    """Fincke-Pohst coefficients Q(x) = sum_k q[k, k] (x_k + sum_{j>k} q[k, j] x_j)^2 of a
+    positive-definite integer Gram matrix, read off its exact pivot rows as p_k / p_(k-1)
+    and row_k[j - k] / p_k: int true divisions, each rational rounded once to a float."""
+    q, prev = np.zeros((len(gram), len(gram))), 1
+    for k, row in enumerate(exact.symmetric_pivots(gram)):
+        q[k, k:] = [row[0] / prev] + [x / row[0] for x in row[1:]]
+        prev = row[0]
     return q
 
 
@@ -253,7 +229,7 @@ def _enumerate(lattice: LatticeGram, bound: int):
     both read-only int64 arrays."""
     r = lattice.rank
     gram = np.array(lattice.gram, dtype=np.int64)[::-1, ::-1]
-    qf = np.array(_exact_cholesky(gram.tolist()), dtype=float)
+    qf = _fincke_pohst(gram.tolist())
     slack = 1e-9 * (bound + 1)
     centers = np.zeros((1, r))                  # float centers of the open levels
     remaining = np.array([float(bound) + slack])
@@ -310,8 +286,9 @@ def short_vectors(lattice: LatticeGram, bound: int):
     as a read-only int64 array in lexicographic order.
 
     The tree of partial vectors is expanded one coordinate level at a time
-    over the whole frontier.  Coordinate ranges and pruning come from a float
-    image of the exact rational decomposition with a safety margin (so no
+    over the whole frontier.  Coordinate ranges and pruning come from float
+    coefficients read off the pivot rows of the exact fraction-free symmetric
+    elimination of the Gram matrix (`_fincke_pohst`), with a safety margin (so no
     vector can be missed); alongside, each node carries its exact int64 norm,
     and the leaves are filtered by t(x) G x <= bound, so the returned set is
     exact.  The tree runs over y = x reversed, so it branches on x_0 first and

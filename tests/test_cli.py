@@ -148,7 +148,9 @@ def test_hodge_checks_emit_the_library_verdict(capsys):
 def test_usage_errors(capsys):
     for argv in (["no-such-command"],
                  # only metric-check has a CSV form
-                 ["lattice-theta", "--lattice", "e8", "--format", "csv"]):
+                 ["lattice-theta", "--lattice", "e8", "--format", "csv"],
+                 # a typo is not read as false
+                 ["cusp-check", "--input", "expansion.json", "--expect-cusp", "ture"]):
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2
@@ -169,13 +171,21 @@ def test_usage_errors(capsys):
     ["symmetry-check", "--input", "TABLE", "--v", '[["1/0"]]', "--u", "[[0,0],[0,0]]"],
     ["cusp-check", "--input", "MISSING"],
     ["phi", "--input", "NO_COEFFS"],
+    # 2A = (2.5) is not an index and must not be read as (2); nor is 2A = 5
+    ["phi", "--input", "HALF"],
+    ["cusp-check", "--input", "HALF"],
+    ["cusp-check", "--input", "SCALAR"],
 ])
 def test_malformed_input_exits_2(capsys, tmp_path, argv):
     table = lattice_theta_coefficients(named_lattice("e8"), 2, 1).to_json()
     files = {"TABLE": tmp_path / "table.json", "MISSING": tmp_path / "missing.json",
-             "NO_COEFFS": tmp_path / "no_coeffs.json"}
+             "NO_COEFFS": tmp_path / "no_coeffs.json", "HALF": tmp_path / "half.json",
+             "SCALAR": tmp_path / "scalar.json"}
     files["TABLE"].write_text(json.dumps(table))
     files["NO_COEFFS"].write_text(json.dumps({k: v for k, v in table.items() if k != "coeffs"}))
+    for key, two_a in (("HALF", [[2.5]]), ("SCALAR", 5)):
+        files[key].write_text(json.dumps({"genus": 1, "level": 1, "weight": 4, "trace_bound": 4,
+                                          "coeffs": [{"twoA": two_a, "re": 1, "im": 0}]}))
     assert main([str(files.get(arg, arg)) for arg in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -12,7 +12,6 @@ from siegelkit import exact
 from siegelkit.siegelspace import SiegelPoint
 from siegelkit.fourier import (
     FourierExpansion,
-    _is_positive_semidefinite,
     HalfIntegralMatrix,
     SlashContext,
     decay_check,
@@ -44,14 +43,14 @@ def _symmetric(g, upper):
 def test_psd_elimination_matches_principal_minors_exhaustively(g):
     for upper in product(range(-2, 3), repeat=g * (g + 1) // 2):
         m = _symmetric(g, upper)
-        assert _is_positive_semidefinite(m) == _principal_minors_nonnegative(m), m
+        assert (exact.symmetric_pivots(m) is not None) == _principal_minors_nonnegative(m), m
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.integers(-3, 3), min_size=10, max_size=10))
 def test_psd_elimination_matches_principal_minors_at_genus_4(upper):
     m = _symmetric(4, upper)
-    assert _is_positive_semidefinite(m) == _principal_minors_nonnegative(m)
+    assert (exact.symmetric_pivots(m) is not None) == _principal_minors_nonnegative(m)
 
 
 @settings(max_examples=200, deadline=None)
@@ -59,7 +58,7 @@ def test_psd_elimination_matches_principal_minors_at_genus_4(upper):
 def test_psd_elimination_matches_principal_minors_on_gram_matrices(rows):
     # t(X) X is PSD, often singular; this exercises the zero-pivot branch at g = 4
     m = exact.mat_mul(exact.transpose(rows), rows)
-    assert _is_positive_semidefinite(m) and _principal_minors_nonnegative(m)
+    assert exact.symmetric_pivots(m) is not None and _principal_minors_nonnegative(m)
 
 
 def test_half_integral_validation():
@@ -71,6 +70,11 @@ def test_half_integral_validation():
         HalfIntegralMatrix(2, ((1, 0), (1, 1)))        # not symmetric
     with pytest.raises(ValueError):
         HalfIntegralMatrix(2, ((-2, 0), (0, 2)))
+    # an entry that is not an integer is refused, not truncated or parsed
+    for bad in (2.5, "4", 2.999, None, math.inf):
+        with pytest.raises(ValueError, match="integer entries"):
+            HalfIntegralMatrix(1, ((bad,),))
+    assert HalfIntegralMatrix(1, ((2.0,),)).twoA == ((2,),)
     # keys are cached once valid; an invalid key raises on every call
     assert HalfIntegralMatrix.from_key(2, (2, 1, 2)) == HalfIntegralMatrix(2, ((2, 1), (1, 2)))
     for _ in range(2):

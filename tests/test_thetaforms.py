@@ -2,13 +2,14 @@ import cmath
 import hashlib
 import json
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from siegelkit import thetaforms
+from siegelkit import exact, thetaforms
 from siegelkit.symplectic import gl_embedding, j_matrix, translation
 from siegelkit.siegelspace import SiegelPoint, cocycle, moebius_act
 from siegelkit.fourier import FourierExpansion, HalfIntegralMatrix
@@ -111,12 +112,14 @@ def _inline_box_theta(char, tau, trunc):
     return complex(np.sum(np.exp(1j * math.pi / 4 * quad) * phases)), theta_tail_estimate(tau, trunc)
 
 
-@pytest.mark.parametrize("g, radius", [(1, 8), (2, 8), (2, 12), (3, 5)])
+@pytest.mark.parametrize("g, radius", [(1, 8), (2, 8), (2, 12), (3, 5), (1, 70)])
 def test_cached_theta_box_is_bit_identical_to_the_inline_box(g, radius):
     tau = SiegelPoint(g, THETA_BOX_POINTS[g])
     trunc = TruncationParams(radius=radius, target=1e-6)
     for char in even_characteristics(g):
         assert theta_constant_with_tail(char, tau, trunc) == _inline_box_theta(char, tau, trunc)
+        # the cached box is int8 up to radius 63 and int16 beyond
+        assert thetaforms._theta_box(char, radius)[0].dtype == (np.int8 if radius <= 63 else np.int16)
 
 
 def test_cached_theta_box_is_read_only():
@@ -155,6 +158,75 @@ def test_lattice_fixtures():
         LatticeGram("odd", 2, ((1, 0), (0, 1)))
     with pytest.raises(ValueError):
         LatticeGram("indef", 2, ((2, 3), (3, 2)))
+    # positive semidefinite but singular: not a lattice Gram matrix
+    for singular in (((2, 2), (2, 2)), ((2, 0), (0, 0))):
+        with pytest.raises(ValueError, match="positive definite"):
+            LatticeGram("singular", 2, singular)
+    # an entry that is not an integer is refused, not truncated
+    with pytest.raises(ValueError, match="integer entries"):
+        LatticeGram("fractional", 2, ((2, 2.9), (2.9, 6)))
+
+
+# sha256 of json.dumps(lattice.gram), recorded from the per-entry loop constructions
+NAMED_GRAMS = {
+    "e8": "0d2b2d0d9bef94f483967281bb7214d23506ea147b63b592b955b83071d21655",
+    "e8e8": "1338c6a258db6d2511853dedbcd347ddf35bf41a77802082d935f0e36fe02bc9",
+    "e16": "edff69bf4c9d4ff0f0b2bc3f91921cb017aac9f0aefe423ab1b4ae4aad7b80d8",
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_GRAMS))
+def test_named_grams_are_pinned(name):
+    gram = named_lattice(name).gram
+    assert all(type(x) is int for row in gram for x in row)
+    assert hashlib.sha256(json.dumps(gram).encode()).hexdigest() == NAMED_GRAMS[name]
+
+
+def _fraction_ldl(gram):
+    """Reference Fincke-Pohst coefficients by a Fraction LDL:
+    Q(x) = sum_i q[i][i] (x_i + sum_{j>i} q[i][j] x_j)^2 on and above the diagonal."""
+    r = len(gram)
+    q = [[Fraction(gram[i][j]) for j in range(r)] for i in range(r)]
+    for i in range(r):
+        for j in range(i + 1, r):
+            q[j][i] = q[i][j]
+            q[i][j] = q[i][j] / q[i][i]
+        for k in range(i + 1, r):
+            for l in range(k, r):
+                q[k][l] = q[k][l] - q[k][i] * q[i][l]
+    return q
+
+
+def _assert_fincke_pohst_matches_fraction_ldl(gram):
+    # float(Fraction) and int true division both round the same rational once
+    expected = np.triu(np.array(_fraction_ldl(gram), dtype=float))
+    got = thetaforms._fincke_pohst(gram)
+    assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_GRAMS))
+def test_fincke_pohst_matches_fraction_ldl_on_named_lattices(name):
+    gram = np.array(named_lattice(name).gram)
+    for oriented in (gram, gram[::-1, ::-1]):      # _enumerate eliminates the reversed Gram
+        _assert_fincke_pohst_matches_fraction_ldl(oriented.tolist())
+
+
+@st.composite
+def even_pd_grams(draw):
+    # t(X) A X for the A_n Cartan matrix A and an invertible integer X: even and definite
+    rank = draw(st.integers(1, 6))
+    x = draw(st.lists(st.lists(st.integers(-2, 2), min_size=rank, max_size=rank),
+                      min_size=rank, max_size=rank))
+    assume(exact.det(x) != 0)
+    cartan = (2 * np.eye(rank) - np.eye(rank, k=1) - np.eye(rank, k=-1)).astype(np.int64)
+    return (np.array(x).T @ cartan @ np.array(x)).tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(gram=even_pd_grams())
+def test_fincke_pohst_matches_fraction_ldl_on_even_grams(gram):
+    LatticeGram("random", len(gram), gram)
+    _assert_fincke_pohst_matches_fraction_ldl(gram)
 
 
 @st.composite
