@@ -68,9 +68,9 @@ def _coeff_to_json(value):
 
 
 def _coeff_from_json(re, im):
-    if isinstance(re, int) and isinstance(im, int) and im == 0:
-        return re
-    return complex(re, im)
+    if not all(type(x) is int or type(x) is float and math.isfinite(x) for x in (re, im)):
+        raise ValueError(f"coefficient re={re!r}, im={im!r} is not a pair of finite numbers")
+    return re if type(re) is int and type(im) is int and im == 0 else complex(re, im)
 
 
 @dataclass(frozen=True)

@@ -7,11 +7,11 @@ One private kernel evaluates these pairings for a whole stack of points tau:
 a single batched solve against [F, conj F], F = (tau; I), gives both the
 Weil operator and the H^{0,1}-components that the Higgs map needs.
 
-Everything that involves derivatives of the metric is verified by central
-finite differences.  Each stencil (the +-h and +-ih legs, the 4 x 4 mixed
-legs at h and h/2, the nested curvature stencil) is built as one stacked
-array of shifted tau, evaluated in one kernel call and combined with fixed
-weights; every stencil point is checked like a base point.  A Richardson
+Both curvature claims are one computation, the Chern curvature
+Omega = -dbar(G^{-1} dG), on two bundles: the tangent bundle with the Hodge
+metric (its Ricci form is -tr Omega) and the Hodge bundle with its frame Gram
+matrix.  One central-difference stencil computes it; its distinct points are
+evaluated in one kernel call, each checked like a base point.  A Richardson
 step-halving comparison guards against roundoff-dominated steps.
 """
 
@@ -161,9 +161,31 @@ def _basis_stack(g):
     return np.array([x.X for x in tangent_basis(g)])
 
 
-def _legs(coeffs, dirs):
-    """Offsets c X for each direction X (axis 0) and coefficient c (axis 1)."""
-    return coeffs[None, :, None, None] * dirs[:, None]
+def _chern_curvature(kernel, tau, dirs, steps):
+    """d_c G at tau and Omega[c, d] = -dbar_d(G^{-1} d_c G), per step s, for G = kernel(tau).
+
+    ``kernel`` maps points (P, g, g) to Hermitian (P, n, n).  G^{-1} d_c G is taken
+    at the legs tau + s a X_d from the legs s b X_c around each (a, b in _LEGS).
+    Offsets are exact multiples of s: a point that legs or steps share is evaluated once.
+    """
+    m, k = len(dirs), len(steps)
+    legs = _LEGS[:, None] * np.eye(m)[:, None]               # (d, q, m): a e_d
+    around = legs[None, :, :, None] + legs[:, None, None]    # (c, d, q, p, m)
+    coords = np.concatenate([legs.reshape(-1, m), around.reshape(-1, m)])
+    coords = np.hstack([coords.real, coords.imag]).astype(int)
+    steps = np.asarray(steps)
+    offsets, index = np.unique(np.multiply.outer(steps, coords).reshape(-1, 2 * m), axis=0,
+                               return_inverse=True)
+    values = kernel(tau.tau + np.einsum("uk,kab->uab", offsets[:, :m] + 1j * offsets[:, m:], dirs))
+    n = values.shape[-1]
+    values = values[index.ravel()].reshape(k, -1, n, n)
+    at_legs = values[:, : 4 * m].reshape(k, m, 4, n, n)
+    at_around = values[:, 4 * m:].reshape(k, m, m, 4, 4, n, n)
+    d_gram = np.einsum("sdqij,q,s->sdij", at_legs, _D_DZ, 1 / steps)
+    d_around = np.einsum("scdqpij,p,s->scdqij", at_around, _D_DZ, 1 / steps)
+    connection = np.linalg.solve(at_legs[:, None], d_around)
+    omega = -np.einsum("scdqij,q,s->scdij", connection, _D_DZBAR, 1 / steps)
+    return d_gram, omega
 
 
 def _check_step(h):
@@ -184,12 +206,13 @@ def hodge_metric_matrix(tau: SiegelPoint):
 def kahler_einstein_check(tau_samples, h=1e-3):
     """Closedness of the Kaehler form and the Einstein constant, by differences.
 
-    Returns a report with the worst d(omega) residual, the per-sample Einstein
-    constants (from Ricci = -lambda * omega), the worst Einstein residual, and
-    the verdict "pass": all three within LAMBDA_SPREAD_BOUND (relative spread
-    of the constants), DW_BOUND and EINSTEIN_BOUND.  Raises StepSizeError when
-    halving the step moves the constants by more than the expected truncation
-    behaviour allows.
+    With G the metric matrix on the coordinate directions, d(omega) comes from
+    d G at h and Ricci = -tr Omega at h and h/2.  Returns the worst d(omega)
+    residual, the per-sample Einstein constants (Ricci = -lambda * omega), the
+    worst Einstein residual, and the verdict "pass": all three within
+    LAMBDA_SPREAD_BOUND (relative spread of the constants), DW_BOUND and
+    EINSTEIN_BOUND.  Raises StepSizeError when halving the step moves the
+    constants by more than the expected truncation behaviour allows.
     """
     _check_step(h)
     if not tau_samples:
@@ -199,25 +222,12 @@ def kahler_einstein_check(tau_samples, h=1e-3):
     einstein_residual = 0.0
     for tau in tau_samples:
         dirs = _basis_stack(tau.g)
-        m, g = len(dirs), tau.g
-        steps = np.array([h, h / 2])
-        legs = np.array([_legs(s * _LEGS, dirs) for s in steps])   # (step, X, leg, g, g)
-        # d(omega) needs the legs along each X_a at h; Ricci = d^2 log det /
-        # (dz_a dzbar_b) needs the 4 x 4 legs along X_a and X_b at h and h/2.
-        # Coinciding real legs collapse to a step-2h second difference, which
-        # is still second-order correct.
-        first = tau.tau + legs[0]
-        mixed = tau.tau + legs[:, :, None, :, None] + legs[:, None, :, None, :]
-        metrics = _metric_stack(np.concatenate([first.reshape(-1, g, g), mixed.reshape(-1, g, g)]), dirs)
-
+        d_gram, omega = _chern_curvature(lambda taus: _metric_stack(taus, dirs), tau, dirs, [h, h / 2])
         # d(omega) = 0 reduces to the symmetry of holomorphic derivatives
-        grads = np.einsum("cpab,p->cab", metrics[: 4 * m].reshape(m, 4, m, m), _D_DZ) / h
-        dw_residual = max(dw_residual, float(np.max(np.abs(grads - grads.swapaxes(0, 1)))))
-
-        log_det = np.linalg.slogdet(metrics[4 * m:])[1].reshape(2, m, m, 4, 4)
-        ric = np.einsum("sabpq,p,q->sab", log_det, _D_DZ, _D_DZBAR) / (steps**2)[:, None, None]
+        dw_residual = max(dw_residual, float(np.max(np.abs(d_gram[0] - d_gram[0].swapaxes(0, 1)))))
+        ric = -np.trace(omega, axis1=-2, axis2=-1)
         gmat = hodge_metric_matrix(tau)
-        lam, lam_half = np.trace(np.linalg.solve(gmat, ric), axis1=1, axis2=2).real / m
+        lam, lam_half = np.trace(np.linalg.solve(gmat, ric), axis1=1, axis2=2).real / len(dirs)
         if abs(lam - lam_half) > 0.05 * max(abs(lam), 1e-12):
             raise StepSizeError("Richardson disagreement: step too small or too large")
         lambdas.append(float(lam))
@@ -240,8 +250,8 @@ def higgs_curvature_identity_check(tau: SiegelPoint, h=1e-3):
 
     E = E^{1,0} + E^{0,1} carries the frame of _frame_grams: the filtration
     frame f_j and, for the quotient V/F^1, the H^{0,1}-components of the
-    first g coordinate vectors.  The curvature is assembled from finite
-    differences of its Gram matrix; the right-hand side is algebraic in the
+    first g coordinate vectors.  The curvature is the Chern curvature stencil
+    of its Gram matrix at h; the right-hand side is algebraic in the
     Higgs matrices.  The report also measures how far the Higgs matrices are
     from symmetric (the Sym^2 embedding of the tangent bundle).  The verdict
     "pass" is the curvature residual within CURVATURE_BOUND.
@@ -258,17 +268,7 @@ def higgs_curvature_identity_check(tau: SiegelPoint, h=1e-3):
     g = tau.g
     dirs = _basis_stack(g)
     m = len(dirs)
-
-    # Theta_{gamma delta} = -dbar_delta(G^{-1} d_gamma G): the legs along X_delta,
-    # and at each of them the point itself and the legs along X_gamma
-    outer = _legs(h * _LEGS, dirs)
-    inner = _legs(h * np.concatenate([[0], _LEGS]), dirs)
-    stencil = tau.tau + outer[None, :, :, None] + inner[:, None, None, :]
-    grams = _frame_grams(stencil.reshape(-1, g, g)).reshape(m, m, 4, 5, 2 * g, 2 * g)
-    d_gram = np.einsum("cdqpij,p->cdqij", grams[:, :, :, 1:], _D_DZ) / h
-    connection = np.linalg.solve(grams[:, :, :, 0], d_gram)
-    curv = -np.einsum("cdqij,q->cdij", connection, _D_DZBAR) / h
-
+    curv = _chern_curvature(_frame_grams, tau, dirs, [h])[1][0]
     theta = np.zeros((m, 2 * g, 2 * g), dtype=complex)
     theta[:, g:, :g] = dirs        # quotient-frame matrix of theta(X) is X itself
     # adjoint under <u, v> = t(u) G conj(v)

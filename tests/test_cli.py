@@ -175,17 +175,23 @@ def test_usage_errors(capsys):
     ["phi", "--input", "HALF"],
     ["cusp-check", "--input", "HALF"],
     ["cusp-check", "--input", "SCALAR"],
+    # a coefficient is a pair of finite JSON numbers: neither "5", true nor NaN
+    ["cusp-check", "--input", "STRING"],
+    ["cusp-check", "--input", "BOOL"],
+    ["cusp-check", "--input", "NAN"],
 ])
 def test_malformed_input_exits_2(capsys, tmp_path, argv):
     table = lattice_theta_coefficients(named_lattice("e8"), 2, 1).to_json()
     files = {"TABLE": tmp_path / "table.json", "MISSING": tmp_path / "missing.json",
              "NO_COEFFS": tmp_path / "no_coeffs.json", "HALF": tmp_path / "half.json",
-             "SCALAR": tmp_path / "scalar.json"}
+             "SCALAR": tmp_path / "scalar.json", "STRING": tmp_path / "string.json",
+             "BOOL": tmp_path / "bool.json", "NAN": tmp_path / "nan.json"}
     files["TABLE"].write_text(json.dumps(table))
     files["NO_COEFFS"].write_text(json.dumps({k: v for k, v in table.items() if k != "coeffs"}))
-    for key, two_a in (("HALF", [[2.5]]), ("SCALAR", 5)):
+    for key, two_a, re in (("HALF", [[2.5]], 1), ("SCALAR", 5, 1), ("STRING", [[2]], "5"),
+                           ("BOOL", [[2]], True), ("NAN", [[0]], float("nan"))):
         files[key].write_text(json.dumps({"genus": 1, "level": 1, "weight": 4, "trace_bound": 4,
-                                          "coeffs": [{"twoA": two_a, "re": 1, "im": 0}]}))
+                                          "coeffs": [{"twoA": two_a, "re": re, "im": 0}]}))
     assert main([str(files.get(arg, arg)) for arg in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -153,6 +153,57 @@ def test_kahler_einstein_g2_consistency():
     assert report["pass"] is True
 
 
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_einstein_constant_is_g_plus_1(g):
+    rng = np.random.default_rng(50 + g)
+    samples = [SiegelPoint.scaled_identity(g)] + [random_siegel_point(g, rng) for _ in range(3)]
+    report = kahler_einstein_check(samples)
+    for lam in report["lambda"]:
+        assert abs(lam - (g + 1)) <= 1e-3 * (g + 1)
+    assert report["pass"] is True
+
+
+def _log_det_ricci(tau, h=1e-3):
+    """Reference Ricci form d_a dbar_b log det G: a second difference of
+    log det G over the 4 x 4 legs tau + h (s X_a + t X_b), s, t in {1, -1, i, -i}."""
+    dirs = np.array([x.X for x in tangent_basis(tau.g)])
+    m = len(dirs)
+    shifts = h * np.array([1, -1, 1j, -1j])[:, None, None] * dirs[:, None]     # (a, s, g, g)
+    points = tau.tau + shifts[:, None, :, None] + shifts[None, :, None, :]      # (a, b, s, t, g, g)
+    log_det = np.linalg.slogdet(_metric_stack(points.reshape(-1, tau.g, tau.g), dirs))[1]
+    d_dz, d_dzbar = np.array([1, -1, -1j, 1j]) / 4, np.array([1, -1, 1j, -1j]) / 4
+    return np.einsum("abst,s,t->ab", log_det.reshape(m, m, 4, 4), d_dz, d_dzbar) / h**2
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_ricci_trace_matches_the_log_det_reference(g):
+    rng = np.random.default_rng(60 + g)
+    dirs = np.array([x.X for x in tangent_basis(g)])
+    for tau in [SiegelPoint.scaled_identity(g)] + [random_siegel_point(g, rng) for _ in range(3)]:
+        omega = hodge._chern_curvature(lambda taus: _metric_stack(taus, dirs), tau, dirs, [1e-3])[1][0]
+        ricci, reference = -np.trace(omega, axis1=-2, axis2=-1), _log_det_ricci(tau)
+        assert np.max(np.abs(ricci - reference)) <= 1e-4 * np.max(np.abs(reference))
+
+
+@pytest.mark.parametrize("check, most", [
+    (lambda: kahler_einstein_check([SiegelPoint.scaled_identity(2)]), 312),
+    (lambda: higgs_curvature_identity_check(SiegelPoint.scaled_identity(2)), 180),
+], ids=["einstein", "curvature"])
+def test_each_stencil_point_is_evaluated_once(monkeypatch, check, most):
+    stacks = []
+
+    def kernel(taus):
+        stacks.append(np.array(taus))
+        return _frame_grams(taus)
+
+    monkeypatch.setattr(hodge, "_frame_grams", kernel)
+    check()
+    stencil = max(stacks, key=len)
+    stencil = stencil.reshape(len(stencil), -1)
+    assert len(np.unique(stencil, axis=0)) == len(stencil)
+    assert sum(map(len, stacks)) <= most
+
+
 def test_kahler_einstein_richardson_consistency():
     samples = [SiegelPoint.scaled_identity(2)]
     lam_h = kahler_einstein_check(samples, h=1e-3)["lambda"][0]
