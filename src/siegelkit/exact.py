@@ -124,12 +124,12 @@ def _eliminate(rows, n, full):
 
 def symmetric_integers(rows, n, name):
     """rows as an n x n symmetric tuple of ints; ValueError on another shape, on an
-    asymmetric pair, or on an entry x with int(x) != x (2.5, the string '4', None, inf)."""
+    asymmetric pair, or on an entry x with int(x) != x (2.5, the string '4', None, inf) or a bool."""
     try:
         out = tuple(tuple(int(x) for x in row) for row in rows)
     except (TypeError, OverflowError) as err:
         raise ValueError(f"{name} must have integer entries") from err
-    if out != tuple(map(tuple, rows)):
+    if out != tuple(map(tuple, rows)) or any(type(x) is bool for row in rows for x in row):
         raise ValueError(f"{name} must have integer entries")
     if len(out) != n or any(len(row) != n for row in out):
         raise ValueError(f"{name} must be {n} x {n}")
@@ -200,7 +200,7 @@ def from_json_entries(rows):
     for row in rows:
         parsed = []
         for x in row:
-            if not isinstance(x, (str, int)):
+            if type(x) is bool or not isinstance(x, (str, int)):
                 raise ValueError(f"entry {x!r} is not an exact integer or rational string")
             try:
                 parsed.append(entry(x))

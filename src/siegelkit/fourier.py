@@ -128,12 +128,17 @@ class FourierExpansion:
 
     @classmethod
     def from_json(cls, data):
-        g = data["genus"]
-        coeffs = {}
-        for entry in data["coeffs"]:
-            a = HalfIntegralMatrix(g, entry["twoA"])
-            coeffs[a] = _coeff_from_json(entry["re"], entry["im"])
-        return cls(g, data["level"], data["weight"], coeffs, data.get("trace_bound", 0))
+        """The expansion to_json writes; ValueError on another structure, KeyError on a missing key."""
+        if not isinstance(data, dict):
+            raise ValueError("a Fourier expansion is a JSON object")
+        g, level, weight = data["genus"], data["level"], data["weight"]
+        trace_bound, entries = data.get("trace_bound", 0), data["coeffs"]
+        if any(type(x) is not int for x in (g, level, weight, trace_bound)):
+            raise ValueError("genus, level, weight and trace_bound must be integers")
+        if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+            raise ValueError("coeffs must be a list of objects")
+        coeffs = {HalfIntegralMatrix(g, e["twoA"]): _coeff_from_json(e["re"], e["im"]) for e in entries}
+        return cls(g, level, weight, coeffs, trace_bound)
 
     def __sub__(self, other):
         if (self.g, self.level, self.weight) != (other.g, other.level, other.weight):

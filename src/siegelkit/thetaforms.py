@@ -5,19 +5,20 @@ constants), and the weight-8 difference of the two rank-16 even unimodular
 theta series.
 
 Lattice coefficients are exact integers.  Short vectors come from a
-Fincke-Pohst enumeration whose coefficients are read off the pivot rows of one
-fraction-free symmetric elimination of the Gram matrix (`exact.symmetric_pivots`),
-expanded level by level over the whole frontier in numpy; floating point only
-seeds the coordinate ranges and prunes, and membership is decided by exact
-integer arithmetic.  The tree covers only the half of the set whose
-first nonzero coordinate is positive (and 0); the other half is its negative.
-The exact norms the tree computes are cached beside the vectors.  One tally
-kernel covers genus-g tuples of nonzero vectors (at most TALLY_BUDGET = 10^9,
-counted over the full classes) by a bincount of mixed-radix codes of their
-inner products.  It tallies only tuples from the positive halves of the norm
-classes and unfolds the signs on the histogram, where flipping x_k reflects
-the digits of the pairs holding k.  A coefficient with a zero on the
-diagonal is read from the table one genus down.
+Fincke-Pohst enumeration expanded level by level over the whole frontier in
+numpy and decided in int64 alone: each node carries integer centre sums and an
+integer room, both read off the pivot rows of one fraction-free symmetric
+elimination of the Gram matrix (`exact.symmetric_pivots`), and each level's
+range is an integer square root and two floor divisions.  A lattice whose
+integers could leave int64 is refused.  The tree covers only the half of the
+set whose first nonzero coordinate is positive (and 0); the other half is its
+negative.  The exact norms the tree computes are cached beside the vectors.
+One tally kernel covers genus-g tuples of nonzero vectors (at most
+TALLY_BUDGET = 10^9, counted over the full classes) by a bincount of
+mixed-radix codes of their inner products.  It tallies only tuples from the
+positive halves of the norm classes and unfolds the signs on the histogram,
+where flipping x_k reflects the digits of the pairs holding k.  A coefficient
+with a zero on the diagonal is read from the table one genus down.
 """
 
 import math
@@ -91,8 +92,8 @@ class TruncationParams:
     def __post_init__(self):
         if self.radius < 1:
             raise ValueError("radius must be >= 1")
-        if self.target <= 0:
-            raise ValueError("target must be positive")
+        if not 0 < self.target < math.inf:      # tail > nan is never true
+            raise ValueError("target must be finite and positive")
 
 
 def theta_tail_estimate(tau: SiegelPoint, trunc: TruncationParams) -> float:
@@ -174,12 +175,7 @@ class LatticeGram:
 
     def norm(self, x):
         """t(x) G x, exactly, for an integer coordinate vector."""
-        total = 0
-        for i, xi in enumerate(x):
-            if xi:
-                row = self.gram[i]
-                total += xi * sum(row[j] * x[j] for j in range(self.rank))
-        return total
+        return sum(xi * sum(g * xj for g, xj in zip(row, x)) for xi, row in zip(x, self.gram))
 
 
 def _cartan_e8():
@@ -212,69 +208,71 @@ def named_lattice(name: str) -> LatticeGram:
     raise ValueError(f"unknown lattice {name!r}")
 
 
-def _fincke_pohst(gram):
-    """Fincke-Pohst coefficients Q(x) = sum_k q[k, k] (x_k + sum_{j>k} q[k, j] x_j)^2 of a
-    positive-definite integer Gram matrix, read off its exact pivot rows as p_k / p_(k-1)
-    and row_k[j - k] / p_k: int true divisions, each rational rounded once to a float."""
-    q, prev = np.zeros((len(gram), len(gram))), 1
-    for k, row in enumerate(exact.symmetric_pivots(gram)):
-        q[k, k:] = [row[0] / prev] + [x / row[0] for x in row[1:]]
-        prev = row[0]
-    return q
-
-
 @lru_cache(maxsize=32)
 def _enumerate(lattice: LatticeGram, bound: int):
-    """(short_vectors(lattice, bound), the exact norm t(x) G x of each row),
-    both read-only int64 arrays."""
+    """(short_vectors(lattice, bound), the exact norm t(x) G x of each row), both read-only int64.
+
+    With the pivot rows [p_k, ..] of the reversed Gram (p_(-1) = 1) and the centre sums
+    C_k = sum_{j>k} row_k[j - k] y_j, t(y) G y = sum_k L_k^2 / (p_k p_(k-1)), L_k = p_k y_k + C_k.
+    A node about to fix y_i holds C_k (k < i) and room = p_i (bound - the terms k > i), an
+    integer: those terms form a Schur complement of denominator p_i.  y_i is allowed iff
+    L_i^2 <= T = p_(i-1) room, a range of floor divisions by p_i around t = isqrt(T); the
+    child's room is (T - L_i^2) // p_i, exactly, and a leaf's norm is bound - room.  In int64:
+    T <= p_i p_(i-1) bound, and a fixed y_k has L_k^2 <= p_k p_(k-1) bound, so |y_k| <= Y_k =
+    (isqrt(p_k p_(k-1) bound) + M_k) // p_k with M_k = sum_{j>k} |row_k[j - k]| Y_j, which bounds
+    every partial C_k.  ValueError unless each p_k p_(k-1) bound, M_k and pivot-row entry is
+    below 2^62, so that a sum of two stays below the int64 limit 2^63.
+    """
+    if bound < 0:
+        raise ValueError("bound must be >= 0")
     r = lattice.rank
-    gram = np.array(lattice.gram, dtype=np.int64)[::-1, ::-1]
-    qf = _fincke_pohst(gram.tolist())
-    slack = 1e-9 * (bound + 1)
-    centers = np.zeros((1, r))                  # float centers of the open levels
-    remaining = np.array([float(bound) + slack])
-    partial = np.zeros((1, r), dtype=np.int64)  # exact G y over the fixed levels
-    norms = np.zeros(1, dtype=np.int64)         # exact t(y) G y over the fixed levels
+    rows = exact.symmetric_pivots([row[::-1] for row in lattice.gram[::-1]])
+    p = [row[0] for row in rows]
+    prev = [1] + p[:-1]
+    ymax, cmax = [0] * r, [0] * r              # Y_k and M_k
+    for k in range(r - 1, -1, -1):
+        cmax[k] = sum(abs(a) * y for a, y in zip(rows[k][1:], ymax[k + 1:]))
+        ymax[k] = (math.isqrt(p[k] * prev[k] * bound) + cmax[k]) // p[k]
+    peak = max([a * b * bound for a, b in zip(p, prev)] + cmax + [abs(a) for row in rows for a in row])
+    if peak >= 1 << 62:
+        raise ValueError(f"{lattice.name} at bound {bound} needs integers up to {peak}, past 2^62")
+    upper = np.array([[0] * k + row for k, row in enumerate(rows)], dtype=np.int64)
+    sums = np.zeros((1, r), dtype=np.int64)     # centre sums C_k of the open levels
+    room = np.array([p[-1] * bound], dtype=np.int64)
     levels = []                                 # (parent index, coordinate) per level
     for i in range(r - 1, -1, -1):
-        u = centers[:, i]
-        radius = np.sqrt(np.maximum(remaining, 0.0) / qf[i, i]) + slack
-        lo = np.ceil(-u - radius - 1e-12).astype(np.int64)
-        hi = np.floor(-u + radius + 1e-12).astype(np.int64)
+        c, cap = sums[:, i], prev[i] * room     # cap is T
+        t = np.sqrt(cap).astype(np.int64)       # isqrt: a float sqrt, then one integer step each way
+        t -= t * t > cap
+        t += (t + 1) * (t + 1) <= cap
+        lo, hi = -((t + c) // p[i]), (t - c) // p[i]
         # node 0, the least prefix, is the all-zero one: its children start at 0,
         # so the tree holds 0 and the vectors whose first nonzero coordinate is positive
         lo[:1] = np.maximum(lo[:1], 0)
         width = np.maximum(hi - lo + 1, 0)
         parent = np.repeat(np.arange(len(width)), width)
         xi = lo[parent] + np.arange(len(parent)) - np.repeat(np.cumsum(width) - width, width)
-        if i:
-            left = remaining[parent] - qf[i, i] * (xi + u[parent]) ** 2
-            alive = left >= -slack
-            parent, xi, remaining = parent[alive], xi[alive], left[alive]
-            centers = centers[parent, :i] + xi[:, None] * qf[:i, i]
-        norms = norms[parent] + xi * (gram[i, i] * xi + 2 * partial[parent, i])
-        partial = partial[parent, :i] + xi[:, None] * gram[:i, i]
+        lin = p[i] * xi + c[parent]
+        room = (cap[parent] - lin * lin) // p[i]
+        sums = sums[parent, :i] + xi[:, None] * upper[:i, i]
         levels.append((parent, xi))
-    # count the leaves inside the bound below each node, bottom-up; every level
-    # is in lexicographic order, so x_k over the leaves is xi repeated by the counts
-    inside = norms <= bound
-    count = inside.astype(np.int64)
-    half = int(count.sum())
+    # every leaf is inside the bound, and the leaves are in lexicographic order; x_k over
+    # the leaves is the xi of their ancestors at level k, reached through the parent links
+    half = len(room)
+    node = np.arange(half)
     # x_k by rows of the narrowest integer type that holds every coordinate,
     # transposed into the result at the end (strided int64 column writes are slow)
     top = max(int(np.abs(xi).max(initial=0)) for _, xi in levels)
     columns = np.empty((r, half), dtype=np.min_scalar_type(-top - 1))
     for k in range(r - 1, -1, -1):              # levels[k] fixes x_k; each is freed once read
         parent, xi = levels.pop()
-        columns[k] = np.repeat(xi, count)
-        if k:
-            count = np.bincount(parent, weights=count, minlength=len(levels[-1][1])).astype(np.int64)
-    vecs = np.empty((max(2 * half - 1, 0), r), dtype=np.int64)
+        columns[k] = xi[node]
+        node = parent[node]
+    vecs = np.empty((2 * half - 1, r), dtype=np.int64)
     vecs[half - 1:] = columns.T
     # x -> -x reverses lexicographic order
     np.negative(vecs[:half - 1:-1], out=vecs[:half - 1])
-    leaf_norms = norms[inside]
-    norms = np.concatenate((leaf_norms[:0:-1], leaf_norms))
+    norms = np.concatenate((bound - room[:0:-1], bound - room))
     vecs.setflags(write=False)
     norms.setflags(write=False)
     return vecs, norms
@@ -285,18 +283,14 @@ def short_vectors(lattice: LatticeGram, bound: int):
     """All integer coordinate vectors with t(x) G x <= bound (zero included),
     as a read-only int64 array in lexicographic order.
 
-    The tree of partial vectors is expanded one coordinate level at a time
-    over the whole frontier.  Coordinate ranges and pruning come from float
-    coefficients read off the pivot rows of the exact fraction-free symmetric
-    elimination of the Gram matrix (`_fincke_pohst`), with a safety margin (so no
-    vector can be missed); alongside, each node carries its exact int64 norm,
-    and the leaves are filtered by t(x) G x <= bound, so the returned set is
-    exact.  The tree runs over y = x reversed, so it branches on x_0 first and
-    the frontier, expanded in increasing order under each parent, stays in
-    lexicographic order.  The set is symmetric under x -> -x, so the tree
-    holds only 0 and the vectors whose first nonzero coordinate is positive;
-    the rest are their negatives, in reverse order.  The exact norms of the
-    rows are kept beside them in the private cache of `_enumerate`.
+    The tree of partial vectors is expanded one coordinate level at a time over
+    the whole frontier, in exact integers only (`_enumerate`, which refuses a
+    lattice whose integers could leave int64), so every leaf is a short vector
+    and none is missed.  It runs over y = x reversed, so it branches on x_0
+    first and the frontier, expanded in increasing order under each parent,
+    stays in lexicographic order.  The tree holds only 0 and the vectors whose
+    first nonzero coordinate is positive; the rest are their negatives, in
+    reverse order.  The exact norms are cached beside the rows by `_enumerate`.
     """
     return _enumerate(lattice, bound)[0]
 

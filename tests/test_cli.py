@@ -179,19 +179,37 @@ def test_usage_errors(capsys):
     ["cusp-check", "--input", "STRING"],
     ["cusp-check", "--input", "BOOL"],
     ["cusp-check", "--input", "NAN"],
+    # the file must be an object whose coeffs are a list of objects
+    ["cusp-check", "--input", "COEFFS_NUMBER"],
+    ["cusp-check", "--input", "COEFFS_OF_NUMBERS"],
+    ["cusp-check", "--input", "LIST"],
+    # genus, level, weight and trace_bound are JSON integers
+    ["cusp-check", "--input", "LEVEL_STRING"],
+    ["cusp-check", "--input", "TRACE_STRING"],
+    ["symmetry-check", "--input", "TRACE_STRING", "--v", "[[1]]", "--u", "[[0]]"],
+    ["cusp-check", "--input", "GENUS_BOOL"],
+    # true and false are not the integers 1 and 0
+    ["symmetry-check", "--input", "GENUS_1", "--v", "[[true]]", "--u", "[[false]]"],
+    ["cusp-check", "--input", "TWOA_BOOL"],
+    # a NaN target would switch the certified-tail guard off
+    ["theta", "--char", "0;0", "--tau", "[[[0,0.01]]]", "--radius", "1", "--target", "nan"],
 ])
 def test_malformed_input_exits_2(capsys, tmp_path, argv):
     table = lattice_theta_coefficients(named_lattice("e8"), 2, 1).to_json()
-    files = {"TABLE": tmp_path / "table.json", "MISSING": tmp_path / "missing.json",
-             "NO_COEFFS": tmp_path / "no_coeffs.json", "HALF": tmp_path / "half.json",
-             "SCALAR": tmp_path / "scalar.json", "STRING": tmp_path / "string.json",
-             "BOOL": tmp_path / "bool.json", "NAN": tmp_path / "nan.json"}
-    files["TABLE"].write_text(json.dumps(table))
-    files["NO_COEFFS"].write_text(json.dumps({k: v for k, v in table.items() if k != "coeffs"}))
+    genus_1 = {"genus": 1, "level": 1, "weight": 4, "trace_bound": 4,
+               "coeffs": [{"twoA": [[2]], "re": 240, "im": 0}]}
+    contents = {"TABLE": table, "NO_COEFFS": {k: v for k, v in table.items() if k != "coeffs"},
+                "COEFFS_NUMBER": {**genus_1, "coeffs": 5}, "COEFFS_OF_NUMBERS": {**genus_1, "coeffs": [5]},
+                "LIST": [genus_1], "LEVEL_STRING": {**genus_1, "level": "1"},
+                "TRACE_STRING": {**genus_1, "trace_bound": "x"}, "GENUS_BOOL": {**genus_1, "genus": True},
+                "GENUS_1": genus_1}
     for key, two_a, re in (("HALF", [[2.5]], 1), ("SCALAR", 5, 1), ("STRING", [[2]], "5"),
-                           ("BOOL", [[2]], True), ("NAN", [[0]], float("nan"))):
-        files[key].write_text(json.dumps({"genus": 1, "level": 1, "weight": 4, "trace_bound": 4,
-                                          "coeffs": [{"twoA": two_a, "re": re, "im": 0}]}))
+                           ("BOOL", [[2]], True), ("NAN", [[0]], float("nan")),
+                           ("TWOA_BOOL", [[True]], 1)):
+        contents[key] = {**genus_1, "coeffs": [{"twoA": two_a, "re": re, "im": 0}]}
+    files = {key: tmp_path / f"{key.lower()}.json" for key in [*contents, "MISSING"]}
+    for key, data in contents.items():
+        files[key].write_text(json.dumps(data))
     assert main([str(files.get(arg, arg)) for arg in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -143,6 +143,13 @@ def test_truncation_certificate():
                        TruncationParams(radius=3, target=1e-10))
 
 
+@pytest.mark.parametrize("target", [0.0, -1e-10, math.nan, math.inf])
+def test_truncation_target_must_be_finite_and_positive(target):
+    # tail > nan is never true, so a NaN target would switch the certified-tail guard off
+    with pytest.raises(ValueError, match="target"):
+        TruncationParams(radius=1, target=target)
+
+
 def test_lattice_fixtures():
     e8 = named_lattice("e8")
     e8e8 = named_lattice("e8e8")
@@ -197,18 +204,24 @@ def _fraction_ldl(gram):
     return q
 
 
-def _assert_fincke_pohst_matches_fraction_ldl(gram):
-    # float(Fraction) and int true division both round the same rational once
-    expected = np.triu(np.array(_fraction_ldl(gram), dtype=float))
-    got = thetaforms._fincke_pohst(gram)
-    assert np.array_equal(got, expected)
+def _assert_pivots_match_fraction_ldl(gram):
+    # D_k = p_k / p_(k-1) and U_kj = row_k[j - k] / p_k, exactly
+    q, prev = _fraction_ldl(gram), 1
+    for k, row in enumerate(exact.symmetric_pivots(gram)):
+        assert Fraction(row[0], prev) == q[k][k]
+        assert [Fraction(x, row[0]) for x in row[1:]] == q[k][k + 1:]
+        prev = row[0]
 
 
 @pytest.mark.parametrize("name", sorted(NAMED_GRAMS))
-def test_fincke_pohst_matches_fraction_ldl_on_named_lattices(name):
+def test_symmetric_pivots_match_fraction_ldl_on_named_lattices(name):
     gram = np.array(named_lattice(name).gram)
     for oriented in (gram, gram[::-1, ::-1]):      # _enumerate eliminates the reversed Gram
-        _assert_fincke_pohst_matches_fraction_ldl(oriented.tolist())
+        _assert_pivots_match_fraction_ldl(oriented.tolist())
+
+
+def _cartan_a(n):
+    return (2 * np.eye(n, dtype=np.int64) - np.eye(n, k=1, dtype=np.int64) - np.eye(n, k=-1, dtype=np.int64)).tolist()
 
 
 @st.composite
@@ -218,15 +231,14 @@ def even_pd_grams(draw):
     x = draw(st.lists(st.lists(st.integers(-2, 2), min_size=rank, max_size=rank),
                       min_size=rank, max_size=rank))
     assume(exact.det(x) != 0)
-    cartan = (2 * np.eye(rank) - np.eye(rank, k=1) - np.eye(rank, k=-1)).astype(np.int64)
-    return (np.array(x).T @ cartan @ np.array(x)).tolist()
+    return (np.array(x).T @ np.array(_cartan_a(rank)) @ np.array(x)).tolist()
 
 
 @settings(max_examples=300, deadline=None)
 @given(gram=even_pd_grams())
-def test_fincke_pohst_matches_fraction_ldl_on_even_grams(gram):
+def test_symmetric_pivots_match_fraction_ldl_on_even_grams(gram):
     LatticeGram("random", len(gram), gram)
-    _assert_fincke_pohst_matches_fraction_ldl(gram)
+    _assert_pivots_match_fraction_ldl(gram)
 
 
 @st.composite
@@ -291,6 +303,72 @@ def test_tally_kernel_matches_tuple_enumeration(gram, genus, trace_bound, chunk)
     expected = _tuple_tally(lattice, genus, trace_bound).to_json()
     with mock.patch.object(thetaforms, "TALLY_CHUNK", chunk):
         assert lattice_theta_coefficients(lattice, genus, trace_bound).to_json() == expected
+
+
+# the A3 root lattice (det 4, 12 roots) in an unreduced basis; a float Fincke-Pohst
+# tree misses +-(3081, 218684, 1930), of exact norm 2
+A3_SKEWED = ((118020312722, -1662769847, 299456), (-1662769847, 23426506, -4219), (299456, -4219, 2))
+
+
+def test_short_vectors_of_a_skewed_a3_basis():
+    lattice = LatticeGram("A3 skewed", 3, A3_SKEWED)
+    assert lattice.determinant() == 4
+    vecs = short_vectors(lattice, 2)
+    assert len(vecs) == 13 and [3081, 218684, 1930] in vecs.tolist()
+    assert [lattice.norm(x) for x in vecs.tolist()] == thetaforms._enumerate(lattice, 2)[1].tolist()
+    assert lattice_theta_coefficients(lattice, 1, 1).coeffs == {(0,): 1, (2,): 12}
+    reduced = LatticeGram("A3", 3, _cartan_a(3))
+    assert lattice_theta_coefficients(lattice, 2, 2).coeffs == lattice_theta_coefficients(reduced, 2, 2).coeffs
+
+
+@st.composite
+def skewed_a_grams(draw):
+    # t(U) A_n U for U a product of up to four elementary column operations with
+    # multipliers up to 10 (entries up to 10^4); for n <= 4 every such basis is served
+    n = draw(st.integers(2, 4))
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(1, 4))):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        m = draw(st.integers(-10, 10))
+        for row in u:
+            row[j] += m * row[i]
+    return n, exact.mat_mul(exact.mat_mul(exact.transpose(u), _cartan_a(n)), u)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=skewed_a_grams(), bound=st.integers(0, 6))
+def test_short_vector_counts_are_basis_free(case, bound):
+    n, gram = case
+    norms = thetaforms._enumerate(LatticeGram("skewed", n, gram), bound)[1]
+    expected = thetaforms._enumerate(LatticeGram("A", n, _cartan_a(n)), bound)[1]
+    assert np.bincount(norms, minlength=bound + 1).tolist() == np.bincount(expected, minlength=bound + 1).tolist()
+
+
+def test_short_vectors_refuse_past_int64():
+    # p_7 p_6 bound = 2000^15 * 2 for 2000 I8
+    with pytest.raises(ValueError, match=r"past 2\^62"):
+        short_vectors(LatticeGram("2000 I8", 8, (2000 * np.eye(8, dtype=np.int64)).tolist()), 2)
+    # rank 1, G = (2a): p_0 bound = 2a bound is served below 2^62 and refused past it;
+    # at bound 18a, T = 36 a^2 is past 2^53 and +-3 lie exactly on the bound
+    a = 2 ** 28 - 1
+    line = LatticeGram("line", 1, ((2 * a,),))
+    vecs, norms = thetaforms._enumerate(line, 18 * a)
+    assert vecs.ravel().tolist() == list(range(-3, 4))
+    assert norms.tolist() == [2 * a * x * x for x in range(-3, 4)]
+    with pytest.raises(ValueError, match=r"past 2\^62"):
+        short_vectors(line, 2 ** 62 // (2 * a) + 1)
+    with pytest.raises(ValueError, match="bound"):
+        short_vectors(line, -1)
+    # A2 sheared by y0 -> y0 + m y1 keeps the pivots 2 and 3, so only the centre sums
+    # grow: served with coordinates near 2^59 at m = 2^58, refused at m = 2^61
+    def sheared_a2(m):
+        return LatticeGram("A2 sheared", 2, ((2 * m * m - 2 * m + 2, 2 * m - 1), (2 * m - 1, 2)))
+
+    vecs, norms = thetaforms._enumerate(sheared_a2(2 ** 58), 6)
+    assert np.bincount(norms).tolist() == [1, 0, 6, 0, 0, 0, 6]
+    assert norms.tolist() == [sheared_a2(2 ** 58).norm(x) for x in vecs.tolist()]
+    with pytest.raises(ValueError, match=r"past 2\^62"):
+        short_vectors(sheared_a2(2 ** 61), 6)
 
 
 def test_rank16_shells_at_bound_6():
