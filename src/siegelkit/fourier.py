@@ -100,6 +100,9 @@ class FourierExpansion:
         object.__setattr__(self, "coeffs", canon)
         if self.trace_bound == 0:
             object.__setattr__(self, "trace_bound", trace_bound)
+        # symmetry_check skips indices past the bound, so a bound below the support would skip them all
+        if self.trace_bound < trace_bound:
+            raise ValueError(f"trace_bound {self.trace_bound} is below the largest trace {trace_bound} of 2A")
 
     def coefficient(self, a: HalfIntegralMatrix):
         return self.coeffs.get(a.key(), 0)
@@ -143,11 +146,12 @@ class FourierExpansion:
     def __sub__(self, other):
         if (self.g, self.level, self.weight) != (other.g, other.level, other.weight):
             raise ValueError("expansions are not compatible")
-        keys = set(self.coeffs) | set(other.coeffs)
+        bound = min(self.trace_bound, other.trace_bound)
+        keys = [k for k in set(self.coeffs) | set(other.coeffs)
+                if HalfIntegralMatrix.from_key(self.g, k).trace_two_a() <= bound]
         diff = {HalfIntegralMatrix.from_key(self.g, k): self.coeffs.get(k, 0) - other.coeffs.get(k, 0)
                 for k in keys}
-        return FourierExpansion(self.g, self.level, self.weight, diff,
-                                min(self.trace_bound, other.trace_bound))
+        return FourierExpansion(self.g, self.level, self.weight, diff, bound)
 
 
 def evaluate(f: FourierExpansion, tau: SiegelPoint) -> complex:

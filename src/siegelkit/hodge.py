@@ -5,14 +5,19 @@ the derivative of the Hodge filtration (the Higgs map) and taking the inner
 product psi(C u, conj v) induced by the polarization and the Weil operator C.
 One private kernel evaluates these pairings for a whole stack of points tau:
 a single batched solve against [F, conj F], F = (tau; I), gives both the
-Weil operator and the H^{0,1}-components that the Higgs map needs.
+Weil operator and the H^{0,1}-components that the Higgs map needs.  The
+splitting V_C = F^1 + conj(F^1) is checked on the real matrix [Re F, Im F]:
+a unitary change of basis W takes [F, conj F] to sqrt(2) [Re F, Im F], so
+both have one condition number, and a real SVD decides it.
 
 Both curvature claims are one computation, the Chern curvature
 Omega = -dbar(G^{-1} dG), on two bundles: the tangent bundle with the Hodge
 metric (its Ricci form is -tr Omega) and the Hodge bundle with its frame Gram
-matrix.  One central-difference stencil computes it; its distinct points are
-evaluated in one kernel call, each checked like a base point.  A Richardson
-step-halving comparison guards against roundoff-dominated steps.
+matrix.  One central-difference stencil computes it.  Its offsets are integer
+vectors in units of the least step, deduplicated by one integer sort; its
+distinct points are evaluated in one kernel call, each checked like a base
+point.  A Richardson step-halving comparison guards against roundoff-dominated
+steps.
 """
 
 from dataclasses import dataclass
@@ -48,6 +53,13 @@ class StepSizeError(ArithmeticError):
     """Raised when step halving shows a finite-difference step is unusable."""
 
 
+def _check_split(f):
+    # V_C = F^1 + conj(F^1) is decided by [Re F, Im F], as well-conditioned as [F, conj F]:
+    # [F, conj F] W = sqrt(2) [Re F, Im F] for the unitary W = [[I, -iI], [I, iI]] / sqrt(2)
+    if np.max(np.linalg.cond(np.concatenate([f.real, f.imag], axis=-1))) > DECOMPOSITION_COND_LIMIT:
+        raise ValueError("F^1 and conj(F^1) do not split V_C (ill-conditioned)")
+
+
 @dataclass(frozen=True)
 class HodgeStructureW1:
     """A weight-one polarized Hodge structure V_C = F^1 + conj(F^1)."""
@@ -56,9 +68,7 @@ class HodgeStructureW1:
     F1: PeriodPoint
 
     def __post_init__(self):
-        stacked = np.hstack([self.F1.basis, self.F1.basis.conj()])
-        if np.linalg.cond(stacked) > DECOMPOSITION_COND_LIMIT:
-            raise ValueError("F^1 and conj(F^1) do not split V_C (ill-conditioned)")
+        _check_split(self.F1.basis)
 
     @classmethod
     def from_tau(cls, tau: SiegelPoint):
@@ -101,18 +111,22 @@ class HiggsElement:
         return float(np.max(np.abs(self.matrix - self.matrix.T)))
 
 
-def kodaira_spencer(tau: SiegelPoint, x: TangentDirection) -> HiggsElement:
-    """Derivative of the Hodge filtration along X, as a Higgs element.
+def _higgs_matrices(tau: SiegelPoint, dirs):
+    """Higgs element matrices (m, g, g) of the directions ``dirs`` (m, g, g), from one solve.
 
     d/dt F^1_{tau + tX} at t = 0 has column derivatives (X; 0); their
     H^{0,1}-components B say that the map sends F a to conj(F) (B a).
     """
-    structure = HodgeStructureW1.from_tau(tau)
-    _, b = structure.decompose(np.vstack([x.X, np.zeros((tau.g, tau.g))]))
+    structure, g = HodgeStructureW1.from_tau(tau), tau.g
+    _, b = structure.decompose(np.vstack([np.hstack(dirs), np.zeros((g, len(dirs) * g))]))
     f = structure.F1.basis
-    image = f.conj() @ b                    # columns theta(X) f_j in V_C
-    s = image.T @ j_matrix_float(tau.g) @ f  # psi(theta(X) f_j, f_k)
-    return HiggsElement(tau.g, s)
+    image = f.conj() @ b                                         # columns theta(X_k) f_j in V_C
+    return (image.T @ j_matrix_float(g) @ f).reshape(-1, g, g)  # psi(theta(X_k) f_j, f_l)
+
+
+def kodaira_spencer(tau: SiegelPoint, x: TangentDirection) -> HiggsElement:
+    """Derivative of the Hodge filtration along X, as a Higgs element."""
+    return HiggsElement(tau.g, _higgs_matrices(tau, x.X[None])[0])
 
 
 # --- the stacked kernel --------------------------------------------------------
@@ -133,9 +147,8 @@ def _frame_grams(taus):
     if np.min(np.linalg.eigvalsh(taus.imag)) <= 0:
         raise ValueError("Im(tau) must be positive definite at every point")
     f = np.concatenate([taus, np.broadcast_to(np.eye(g), taus.shape)], axis=-2)
+    _check_split(f)
     split = np.concatenate([f, f.conj()], axis=-1)
-    if np.max(np.linalg.cond(split)) > DECOMPOSITION_COND_LIMIT:
-        raise ValueError("F^1 and conj(F^1) do not split V_C (ill-conditioned)")
     coeffs = np.linalg.inv(split)
     weil = split @ (np.repeat([1j, -1j], g)[:, None] * coeffs)
     frame = np.concatenate([f, f.conj() @ coeffs[:, g:, :g]], axis=-1)
@@ -147,13 +160,16 @@ def _metric_stack(taus, dirs):
 
     Entry (k, l) sums the pairings of the Higgs images of an H-orthonormal
     frame F S of F^1 along X_k and X_l.  With G the Gram matrix of F and Q
-    that of conj(F) B, and S S* = G^{-1}, it is Tr(t(X_k) Q conj(X_l) conj(G^{-1})).
+    that of conj(F) B, and S S* = G^{-1}, it is Tr(t(X_k) Q conj(X_l G^{-1})): the
+    entries of t(X_k) Q paired with those of the transpose of conj(X_l G^{-1}).
     """
-    g = dirs.shape[-1]
+    m, g = len(dirs), dirs.shape[-1]
     grams = _frame_grams(taus)
     frame = grams[:, :g, :g]
     frame_inv = np.linalg.inv((frame + frame.conj().swapaxes(-1, -2)) / 2)
-    out = np.einsum("kba,pbc,lcd,pda->pkl", dirs, grams[:, g:, g:], dirs.conj(), frame_inv.conj())
+    left = (dirs.swapaxes(-1, -2) @ grams[:, None, g:, g:]).reshape(-1, m, g * g)
+    right = (dirs @ frame_inv[:, None]).conj().swapaxes(-1, -2).reshape(-1, m, g * g)
+    out = left @ right.swapaxes(-1, -2)
     return (out + out.conj().swapaxes(-1, -2)) / 2
 
 
@@ -161,24 +177,42 @@ def _basis_stack(g):
     return np.array([x.X for x in tangent_basis(g)])
 
 
-def _chern_curvature(kernel, tau, dirs, steps):
-    """d_c G at tau and Omega[c, d] = -dbar_d(G^{-1} d_c G), per step s, for G = kernel(tau).
+def _stencil_layout(m, steps):
+    """Distinct stencil offsets (real parts, then imaginary) and each row's index among them.
 
-    ``kernel`` maps points (P, g, g) to Hermitian (P, n, n).  G^{-1} d_c G is taken
-    at the legs tau + s a X_d from the legs s b X_c around each (a, b in _LEGS).
-    Offsets are exact multiples of s: a point that legs or steps share is evaluated once.
+    Per step s the rows are the legs s a e_d, then s (a e_d + b e_c) around them (a, b in _LEGS).
+    Steps are integer multiples of the least (h and h / 2 in every caller), so rows are sorted
+    and deduplicated as integer vectors in units of the least step.
     """
-    m, k = len(dirs), len(steps)
     legs = _LEGS[:, None] * np.eye(m)[:, None]               # (d, q, m): a e_d
     around = legs[None, :, :, None] + legs[:, None, None]    # (c, d, q, p, m)
     coords = np.concatenate([legs.reshape(-1, m), around.reshape(-1, m)])
     coords = np.hstack([coords.real, coords.imag]).astype(int)
+    least = min(steps)
+    ratios = np.rint(np.divide(steps, least)).astype(int)
+    if np.any(least * ratios != steps):
+        raise ValueError("steps must be integer multiples of the least step")
+    units = np.multiply.outer(ratios, coords).reshape(-1, 2 * m)
+    order = np.lexsort(units.T[::-1])
+    new = np.r_[True, np.any(np.diff(units[order], axis=0), axis=1)]   # differs from the row before
+    index = np.empty_like(order)
+    index[order] = np.cumsum(new) - 1
+    return least * units[order[new]], index
+
+
+def _chern_curvature(kernel, tau, dirs, steps):
+    """d_c G at tau and Omega[c, d] = -dbar_d(G^{-1} d_c G), per step s, for G = kernel(tau).
+
+    ``kernel`` maps points (P, g, g) to Hermitian (P, n, n).  G^{-1} d_c G is taken
+    at the legs tau + s a X_d from the legs s b X_c around each (a, b in _LEGS); the
+    distinct points of _stencil_layout are evaluated in one kernel call.
+    """
+    m, k = len(dirs), len(steps)
+    offsets, index = _stencil_layout(m, steps)
     steps = np.asarray(steps)
-    offsets, index = np.unique(np.multiply.outer(steps, coords).reshape(-1, 2 * m), axis=0,
-                               return_inverse=True)
     values = kernel(tau.tau + np.einsum("uk,kab->uab", offsets[:, :m] + 1j * offsets[:, m:], dirs))
     n = values.shape[-1]
-    values = values[index.ravel()].reshape(k, -1, n, n)
+    values = values[index].reshape(k, -1, n, n)
     at_legs = values[:, : 4 * m].reshape(k, m, 4, n, n)
     at_around = values[:, 4 * m:].reshape(k, m, m, 4, 4, n, n)
     d_gram = np.einsum("sdqij,q,s->sdij", at_legs, _D_DZ, 1 / steps)
@@ -276,7 +310,7 @@ def higgs_curvature_identity_check(tau: SiegelPoint, h=1e-3):
     theta_star = np.linalg.solve(gbar, theta.conj().swapaxes(-1, -2) @ gbar)
     rhs = -(theta[:, None] @ theta_star[None] - theta_star[None] @ theta[:, None])
 
-    sym_residual = max(kodaira_spencer(tau, x).symmetry_defect() for x in tangent_basis(g))
+    sym_residual = max(HiggsElement(g, s).symmetry_defect() for s in _higgs_matrices(tau, dirs))
     curvature_residual = float(np.max(np.abs(curv - rhs)))
     return {
         "curvature_residual": curvature_residual,

@@ -159,6 +159,8 @@ class LatticeGram:
     gram: tuple
 
     def __post_init__(self):
+        if self.rank < 1:
+            raise ValueError(f"lattice rank must be at least 1, not {self.rank}")
         rows = exact.symmetric_integers(self.gram, self.rank, "gram")
         object.__setattr__(self, "gram", rows)
         if any(rows[i][i] % 2 for i in range(self.rank)):

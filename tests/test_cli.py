@@ -216,6 +216,22 @@ def test_malformed_input_exits_2(capsys, tmp_path, argv):
     assert "error" in json.loads(captured.err)
 
 
+@pytest.mark.parametrize("trace_bound, code", [(4, 1), (1, 2), (-1, 2)])
+def test_symmetry_check_cannot_be_switched_off_by_the_trace_bound(capsys, tmp_path, trace_bound, code):
+    # V = -1 at odd weight forces c(A) = -c(A); a bound below Tr(2A) = 4 would skip every index
+    table = {"genus": 1, "level": 1, "weight": 5, "trace_bound": trace_bound,
+             "coeffs": [{"twoA": [[2]], "re": 1, "im": 0}, {"twoA": [[4]], "re": 1, "im": 0}]}
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(table))
+    assert main(["symmetry-check", "--input", str(path), "--v", "[[-1]]", "--u", "[[0]]"]) == code
+    captured = capsys.readouterr()
+    if code == 1:
+        assert len(json.loads(captured.out)["violations"]) == 2
+    else:
+        assert captured.out == ""
+        assert "trace_bound" in json.loads(captured.err)["error"]
+
+
 def test_rank16_trace_guard_enumerates_nothing(capsys, monkeypatch):
     def enumerate_vectors(*args):
         raise AssertionError("the trace guard must fire before any enumeration")

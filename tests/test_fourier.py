@@ -148,6 +148,27 @@ def test_symmetry_check_detects_odd_weight_obstruction():
     assert violations[0][1] == pytest.approx(10.0)
 
 
+def test_trace_bound_below_the_support_is_refused():
+    # symmetry_check skips indices past trace_bound, so such a bound would switch it off
+    coeffs = {HalfIntegralMatrix(1, ((2,),)): 1, HalfIntegralMatrix(1, ((4,),)): 1}
+    assert FourierExpansion(1, 1, 5, coeffs).trace_bound == 4
+    assert FourierExpansion(1, 1, 5, coeffs, trace_bound=6).trace_bound == 6
+    for bound in (3, 1, -1):
+        with pytest.raises(ValueError, match="trace_bound"):
+            FourierExpansion(1, 1, 5, coeffs, trace_bound=bound)
+    with pytest.raises(ValueError, match="trace_bound"):
+        FourierExpansion(1, 1, 5, {}, trace_bound=-1)
+    assert len(symmetry_check(FourierExpansion(1, 1, 5, coeffs), SlashContext(((-1,),), ((0,),)))) == 2
+
+
+def test_difference_keeps_the_common_trace_window():
+    narrow = FourierExpansion(1, 1, 4, {HalfIntegralMatrix(1, ((2,),)): 240})
+    wide = FourierExpansion(1, 1, 4, {HalfIntegralMatrix(1, ((2,),)): 240,
+                                      HalfIntegralMatrix(1, ((4,),)): 2160})
+    for diff in (wide - narrow, narrow - wide):
+        assert (diff.trace_bound, diff.coeffs) == (2, {(2,): 0})
+
+
 def test_slash_context_validation():
     with pytest.raises(ValueError):
         SlashContext(((1, 1), (0, 1)), ((0, 1), (0, 0)))   # VU not symmetric

@@ -12,6 +12,7 @@ from siegelkit.siegelspace import (
     TangentDirection,
     bergman_metric,
     borel_embed,
+    j_matrix_float,
     moebius_act,
     pushforward,
     random_siegel_point,
@@ -132,6 +133,81 @@ def test_kernel_matches_per_entry_reference(g):
             assert np.max(np.abs(got - bundle)) <= 1e-12 * np.max(np.abs(bundle))
         for got in (stacked_metric[k], hodge_metric_matrix(tau)):
             assert np.max(np.abs(got - metric)) <= 1e-12 * np.max(np.abs(metric))
+
+
+def _float_row_layout(m, steps):
+    """The stencil layout by np.unique over float rows of step * offset, kept as the reference."""
+    legs = hodge._LEGS[:, None] * np.eye(m)[:, None]
+    around = legs[None, :, :, None] + legs[:, None, None]
+    coords = np.concatenate([legs.reshape(-1, m), around.reshape(-1, m)])
+    coords = np.hstack([coords.real, coords.imag]).astype(int)
+    offsets, index = np.unique(np.multiply.outer(np.asarray(steps), coords).reshape(-1, 2 * m), axis=0,
+                               return_inverse=True)
+    return offsets, index.ravel()
+
+
+@pytest.mark.parametrize("h", [1e-3, 7.3e-4])
+@pytest.mark.parametrize("halved", [False, True], ids=["h", "h-and-h/2"])
+@pytest.mark.parametrize("m", [1, 3, 6, 10])
+def test_stencil_layout_matches_the_float_row_reference(m, halved, h):
+    steps = [h, h / 2] if halved else [h]
+    offsets, index = hodge._stencil_layout(m, steps)
+    expected, expected_index = _float_row_layout(m, steps)
+    # the same points in the same order, bit for bit, and every row on the same point
+    assert offsets.shape == expected.shape and offsets.tobytes() == expected.tobytes()
+    assert offsets[index].tobytes() == expected[expected_index].tobytes()
+
+
+def test_stencil_layout_refuses_steps_off_the_least_step():
+    with pytest.raises(ValueError, match="integer multiples"):
+        hodge._stencil_layout(2, [1e-3, 3e-4])
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_real_splitting_matrix_has_the_condition_number_of_the_complex_one(g):
+    rng = np.random.default_rng(70 + g)
+    samples = [SiegelPoint.scaled_identity(g)] + [random_siegel_point(g, rng, s) for s in (0.5, 2, 5)]
+    for tau in samples:
+        f = borel_embed(tau).basis
+        real = np.linalg.cond(np.hstack([f.real, f.imag]))
+        complex_ = np.linalg.cond(np.hstack([f, f.conj()]))
+        assert abs(real - complex_) <= 1e-12 * complex_
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_metric_contraction_matches_the_einsum_reference(g):
+    rng = np.random.default_rng(80 + g)
+    taus = np.array([random_siegel_point(g, rng).tau for _ in range(4)])
+    grams = _frame_grams(taus)
+    frame = grams[:, :g, :g]
+    frame_inv = np.linalg.inv((frame + frame.conj().swapaxes(-1, -2)) / 2)
+    basis = np.array([x.X for x in tangent_basis(g)])
+    for dirs in (basis, np.array([random_tangent(g, rng).X for _ in range(3)])):
+        out = np.einsum("kba,pbc,lcd,pda->pkl", dirs, grams[:, g:, g:], dirs.conj(), frame_inv.conj())
+        expected = (out + out.conj().swapaxes(-1, -2)) / 2
+        assert np.max(np.abs(_metric_stack(taus, dirs) - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+def test_stacked_higgs_matrices_match_one_direction_at_a_time():
+    rng = np.random.default_rng(90)
+    tau = random_siegel_point(2, rng)
+    dirs = np.array([random_tangent(2, rng).X for _ in range(3)])
+    st = HodgeStructureW1.from_tau(tau)
+    f = st.F1.basis
+    for x, got in zip(dirs, hodge._higgs_matrices(tau, dirs)):
+        _, b = st.decompose(np.vstack([x, np.zeros((2, 2))]))
+        assert np.max(np.abs(got - (f.conj() @ b).T @ j_matrix_float(2) @ f)) <= 1e-13
+
+
+# lambda at i I computed with the float-row stencil layout, the complex splitting
+# check [F, conj F] and the four-operand einsum contraction
+RECORDED_LAMBDA = {1: 2.0000140005905678, 2: 3.0000176673440144, 3: 4.000021500570618}
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_einstein_constant_at_i_keeps_its_recorded_value(g):
+    lam = kahler_einstein_check([SiegelPoint.scaled_identity(g)])["lambda"][0]
+    assert abs(lam - RECORDED_LAMBDA[g]) <= 1e-9 * RECORDED_LAMBDA[g]
 
 
 def test_kahler_einstein_g1_closed_form():

@@ -174,6 +174,13 @@ def test_lattice_fixtures():
         LatticeGram("fractional", 2, ((2, 2.9), (2.9, 6)))
 
 
+def test_lattice_gram_refuses_rank_below_1():
+    # short_vectors needs at least one coordinate to enumerate
+    for rank in (0, -1):
+        with pytest.raises(ValueError, match="rank must be at least 1"):
+            LatticeGram("empty", rank, ())
+
+
 # sha256 of json.dumps(lattice.gram), recorded from the per-entry loop constructions
 NAMED_GRAMS = {
     "e8": "0d2b2d0d9bef94f483967281bb7214d23506ea147b63b592b955b83071d21655",
