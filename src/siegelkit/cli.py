@@ -47,6 +47,13 @@ def _parse_char(text):
     return thetaforms.ThetaCharacteristic.from_doubled(bits1, bits2)
 
 
+def _count(text):
+    """An argparse type for sizes and sample counts: an integer of at least 1."""
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return int(text)
+
+
 def _read_expansion(path):
     """The FourierExpansion stored as JSON at path; ValueError when it cannot be read."""
     try:
@@ -249,19 +256,19 @@ def build_parser():
         return p
 
     p = leaf(sub, "metric-check", _cmd_metric_check, "Bergman/Hodge ratio constancy")
-    p.add_argument("--genus", type=int, default=2)
-    p.add_argument("--samples", type=int, default=10)
-    p.add_argument("--directions", type=int, default=2)
+    p.add_argument("--genus", type=_count, default=2)
+    p.add_argument("--samples", type=_count, default=10)
+    p.add_argument("--directions", type=_count, default=2)
     p.add_argument("--tolerance", type=float, default=1e-8)
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = leaf(sub, "einstein-check", _cmd_einstein_check, "Kaehler closedness and Einstein constant")
-    p.add_argument("--genus", type=int, default=2)
-    p.add_argument("--points", type=int, default=3)
+    p.add_argument("--genus", type=_count, default=2)
+    p.add_argument("--points", type=_count, default=3)
     p.add_argument("--step", type=float, default=1e-3)
 
     p = leaf(sub, "curvature-check", _cmd_curvature_check, "Hodge-bundle curvature identity")
-    p.add_argument("--genus", type=int, default=2)
+    p.add_argument("--genus", type=_count, default=2)
 
     p = leaf(sub, "boundary-growth", _cmd_boundary_growth, "metric growth in the cusp chart")
     p.add_argument("--genus", type=int, default=1)

@@ -53,8 +53,6 @@ class HalfIntegralMatrix:
         return sum(self.twoA[i][i] for i in range(self.g))
 
     def is_singular(self):
-        if self.g == 0:
-            return False
         return exact.det(self.twoA) == 0
 
 
@@ -84,6 +82,8 @@ class FourierExpansion:
     trace_bound: int = 0
 
     def __post_init__(self):
+        if self.g < 0:
+            raise ValueError("genus must be >= 0")
         if self.level < 1:
             raise ValueError("level must be >= 1")
         if self.weight < 0:
@@ -197,8 +197,9 @@ def symmetry_check(f: FourierExpansion, ctx: SlashContext, tol=1e-9):
     Only indices whose transform stays inside the truncation window are
     compared; returns a list of (A, residual) pairs, empty meaning pass.
     """
-    v = ctx.V
-    u = ctx.U
+    v, u = ctx.V, ctx.U
+    if len(v) != f.g:
+        raise ValueError(f"M(V, U) has degree {len(v)} but the expansion has genus {f.g}")
     det_v = exact.det(v)
     violations = []
     for a, c in f.items():

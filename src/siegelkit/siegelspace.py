@@ -42,6 +42,8 @@ class SiegelPoint:
     tau: np.ndarray
 
     def __post_init__(self):
+        if self.g < 1:
+            raise ValueError("degree g must be a positive integer")
         tau = _as_complex_matrix(self.tau, self.g)
         object.__setattr__(self, "tau", tau)
         if np.max(np.abs(tau - tau.T)) > SYM_TOL:

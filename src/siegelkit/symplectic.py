@@ -9,6 +9,8 @@ verified elements are symplectic by the group law and are not re-checked.
 
 import random
 from dataclasses import dataclass
+from functools import reduce
+from operator import matmul
 
 from . import exact
 
@@ -93,6 +95,8 @@ class SymplecticMatrix:
     def from_blocks(cls, a, b, c, d):
         a, b, c, d = map(exact.to_exact, (a, b, c, d))
         g = len(a)
+        if any(len(blk) != g or any(len(row) != g for row in blk) for blk in (a, b, c, d)):
+            raise ValueError(f"blocks must all be {g} x {g}")
         rows = [a[i] + b[i] for i in range(g)] + [c[i] + d[i] for i in range(g)]
         return cls(g, tuple(rows))
 
@@ -215,29 +219,21 @@ def _random_gl(g, rng):
 def random_symplectic(g, rng=None, word_length=6, bound=2) -> SymplecticMatrix:
     """A random word in the generator set of Sp(2g, Z)."""
     rng = rng or random.Random(0)
-    m = SymplecticMatrix(g, exact.identity(2 * g))
-    for _ in range(rng.randint(1, word_length)):
-        kind = rng.randrange(3)
-        if kind == 0:
-            gen = j_matrix(g)
-        elif kind == 1:
-            gen = translation(_random_symmetric(g, rng, bound))
-        else:
-            gen = gl_embedding(_random_gl(g, rng))
-        m = m @ gen
-    return m
+    kinds = (lambda: j_matrix(g),
+             lambda: translation(_random_symmetric(g, rng, bound)),
+             lambda: gl_embedding(_random_gl(g, rng)))
+    return reduce(matmul, [kinds[rng.randrange(3)]() for _ in range(rng.randint(1, word_length))])
 
 
 def random_congruence_element(g, n, rng=None, word_length=3) -> SymplecticMatrix:
     """A random element of the level-n subgroup (products of level-n translations
     and their conjugates by random integral symplectic matrices)."""
     rng = rng or random.Random(0)
-    m = SymplecticMatrix(g, exact.identity(2 * g))
+    word = []
     for _ in range(rng.randint(1, word_length)):
-        b = exact.scalar_mul(n, _random_symmetric(g, rng, 1))
-        t = translation(b)
+        t = translation(exact.scalar_mul(n, _random_symmetric(g, rng, 1)))
         if rng.random() < 0.5:
             t = SymplecticMatrix(g, exact.transpose(t.entries))  # lower translation
         gamma = random_symplectic(g, rng, word_length=2)
-        m = m @ (gamma @ t @ gamma.inverse())
-    return m
+        word.append(gamma @ t @ gamma.inverse())
+    return reduce(matmul, word)

@@ -50,9 +50,7 @@ class ConeSigma:
 
     def is_smooth(self):
         """Rays form a lattice basis (determinant +-1)."""
-        if not self.is_top():
-            return False
-        return abs(exact.det(self.rays)) == 1
+        return self.is_top() and abs(exact.det(self.rays)) == 1
 
     def face_lattice(self):
         """Faces by dimension: subsets of rays (simplicial), plus the origin."""
@@ -74,6 +72,15 @@ class ConeSigma:
         if strict:
             return all(c > 0 for c in coords)
         return all(c >= 0 for c in coords)
+
+    def across_facet(self, other) -> bool:
+        """Face-to-face test: the new ray of other, a top cone sharing all rays of self but one,
+        has a strictly negative coordinate on the ray of self it replaces."""
+        old = [i for i, ray in enumerate(self.rays) if ray not in other.rays]
+        new = [ray for ray in other.rays if ray not in self.rays]
+        if not (self.is_top() and other.is_top()) or len(old) != 1 or len(new) != 1:
+            raise ValueError("across_facet needs two top cones sharing all rays but one")
+        return exact.mat_vec(self.dual_basis, new[0])[old[0]] < 0
 
 
 # --- the degree-2 principal cone fixture --------------------------------------
@@ -110,35 +117,21 @@ def principal_cone_fixture(g=2) -> PrincipalConeFixture:
     """The degree-2 principal cone, its faces, and adjacent GL(2, Z) images.
 
     Searches short words in elementary GL(2, Z) generators for images sharing
-    exactly one facet with the cone, then checks local admissibility: on
-    sampled interior points, the full-dimensional images do not overlap.
+    exactly one facet with the cone, then checks local admissibility exactly:
+    each image lies across the facet it shares (`ConeSigma.across_facet`).
     """
     sigma = principal_cone(g)
     gens = [((1, 1), (0, 1)), ((1, -1), (0, 1)), ((0, 1), (1, 0)), ((1, 0), (1, 1))]
     seen = {}
     for w1, w2 in product([None] + gens, gens):
-        u = exact.to_exact(w2)
-        if w1 is not None:
-            u = exact.mat_mul(exact.to_exact(w1), u)
+        u = w2 if w1 is None else exact.mat_mul(w1, w2)
         image = gl2_image(u, sigma)
-        shared = image.ray_set() & sigma.ray_set()
-        if len(shared) == 2 and image.ray_set() != sigma.ray_set():
-            seen.setdefault(frozenset(image.ray_set()), (tuple(tuple(int(x) for x in r) for r in u), image))
+        if len(image.ray_set() & sigma.ray_set()) == 2:
+            seen.setdefault(image.ray_set(), (u, image))
     neighbors = tuple(seen.values())
-    admissible = sampled_overlap_free([sigma] + [img for _, img in neighbors])
-    faces = sigma.face_lattice()
-    face_counts = {d: len(fs) for d, fs in faces.items()}
+    admissible = all(sigma.across_facet(image) for _, image in neighbors)
+    face_counts = {d: len(fs) for d, fs in sigma.face_lattice().items()}
     return PrincipalConeFixture(sigma, face_counts, neighbors, admissible)
-
-
-def sampled_overlap_free(cones) -> bool:
-    """True when each sampled interior point of each top cone lies strictly inside that cone only."""
-    for cone in cones:
-        for weights in ((1, 1, 1), (3, 1, 1), (1, 3, 1), (1, 1, 3), (2, 5, 1)):
-            point = tuple(sum(w * r[k] for w, r in zip(weights, cone.rays)) for k in range(cone.dimension))
-            if sum(1 for other in cones if other.contains(point, strict=True)) != 1:
-                return False
-    return True
 
 
 # --- dual monoids and level-change chart maps ---------------------------------

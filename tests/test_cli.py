@@ -188,6 +188,7 @@ def test_usage_errors(capsys):
     ["cusp-check", "--input", "TRACE_STRING"],
     ["symmetry-check", "--input", "TRACE_STRING", "--v", "[[1]]", "--u", "[[0]]"],
     ["cusp-check", "--input", "GENUS_BOOL"],
+    ["cusp-check", "--input", "GENUS_NEGATIVE"],
     # true and false are not the integers 1 and 0
     ["symmetry-check", "--input", "GENUS_1", "--v", "[[true]]", "--u", "[[false]]"],
     ["cusp-check", "--input", "TWOA_BOOL"],
@@ -202,6 +203,7 @@ def test_malformed_input_exits_2(capsys, tmp_path, argv):
                 "COEFFS_NUMBER": {**genus_1, "coeffs": 5}, "COEFFS_OF_NUMBERS": {**genus_1, "coeffs": [5]},
                 "LIST": [genus_1], "LEVEL_STRING": {**genus_1, "level": "1"},
                 "TRACE_STRING": {**genus_1, "trace_bound": "x"}, "GENUS_BOOL": {**genus_1, "genus": True},
+                "GENUS_NEGATIVE": {**genus_1, "genus": -1, "coeffs": []},
                 "GENUS_1": genus_1}
     for key, two_a, re in (("HALF", [[2.5]], 1), ("SCALAR", 5, 1), ("STRING", [[2]], "5"),
                            ("BOOL", [[2]], True), ("NAN", [[0]], float("nan")),
@@ -230,6 +232,38 @@ def test_symmetry_check_cannot_be_switched_off_by_the_trace_bound(capsys, tmp_pa
     else:
         assert captured.out == ""
         assert "trace_bound" in json.loads(captured.err)["error"]
+
+
+@pytest.mark.parametrize("genus, v, u, message", [
+    (1, "[[1,0],[0,1]]", "[[0]]", "blocks must all be 2 x 2"),
+    (2, "[[1]]", "[[0]]", "degree 1 but the expansion has genus 2"),
+    (1, "[[1,0],[0,1]]", "[[0,0],[0,0]]", "degree 2 but the expansion has genus 1"),
+])
+def test_symmetry_check_refuses_a_context_of_another_size(capsys, tmp_path, genus, v, u, message):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(lattice_theta_coefficients(named_lattice("e8"), genus, 2).to_json()))
+    assert main(["symmetry-check", "--input", str(path), "--v", v, "--u", u]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in json.loads(captured.err)["error"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["einstein-check", "--points", "-3"], "--points"),
+    (["einstein-check", "--points", "0"], "--points"),
+    (["metric-check", "--samples", "0"], "--samples"),
+    (["metric-check", "--directions", "0"], "--directions"),
+    (["einstein-check", "--genus", "0"], "--genus"),
+    (["metric-check", "--genus", "0"], "--genus"),
+    (["curvature-check", "--genus", "0"], "--genus"),
+])
+def test_counts_below_one_are_usage_errors(capsys, argv, flag):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: must be at least 1" in captured.err
 
 
 def test_rank16_trace_guard_enumerates_nothing(capsys, monkeypatch):

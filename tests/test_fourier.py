@@ -169,9 +169,26 @@ def test_difference_keeps_the_common_trace_window():
         assert (diff.trace_bound, diff.coeffs) == (2, {(2,): 0})
 
 
+def test_symmetry_check_refuses_a_context_of_another_degree():
+    genus_2 = lattice_theta_coefficients(named_lattice("e8"), 2, 2)
+    with pytest.raises(ValueError, match="degree 1 but the expansion has genus 2"):
+        symmetry_check(genus_2, SlashContext(((1,),), ((0,),)))
+    genus_1 = FourierExpansion(1, 1, 4, {HalfIntegralMatrix(1, ((2,),)): 240})
+    with pytest.raises(ValueError, match="degree 2 but the expansion has genus 1"):
+        symmetry_check(genus_1, SlashContext(((1, 0), (0, 1)), ((0, 0), (0, 0))))
+
+
+def test_negative_genus_is_refused():
+    with pytest.raises(ValueError, match="genus"):
+        FourierExpansion(-1, 1, 4, {})
+    assert FourierExpansion(0, 1, 4, {HalfIntegralMatrix(0, ()): 1}).coeffs == {(): 1}
+
+
 def test_slash_context_validation():
     with pytest.raises(ValueError):
         SlashContext(((1, 1), (0, 1)), ((0, 1), (0, 0)))   # VU not symmetric
+    with pytest.raises(ValueError, match="2 x 2"):
+        SlashContext(((1, 0), (0, 1)), ((0,),))             # U is 1 x 1
     SlashContext(((1, 0), (0, 1)), ((2, 1), (1, 0)), level=1)
     with pytest.raises(ValueError):
         SlashContext(((1, 1), (0, 1)), ((0, 0), (0, 0)), level=2)

@@ -28,6 +28,9 @@ def test_siegel_point_validation():
         SiegelPoint(2, np.array([[1j, 0.5], [0.2, 1j]]))      # not symmetric
     with pytest.raises(ValueError):
         SiegelPoint(2, np.diag([1j, -1j]))                    # Im not positive
+    for g in (0, -1):
+        with pytest.raises(ValueError, match="positive integer"):
+            SiegelPoint(g, np.zeros((0, 0)))
     tau = SiegelPoint(2, np.array([[1 + 1j, 0.5], [0.5, 2j]]))
     assert tau.g == 2
 

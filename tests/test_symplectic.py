@@ -74,6 +74,16 @@ def test_constructor_rejects_non_symplectic():
         SymplecticMatrix(2, bad)
 
 
+def test_from_blocks_refuses_blocks_of_mixed_sizes():
+    identity, zero = ((1, 0), (0, 1)), ((0, 0), (0, 0))
+    assert SymplecticMatrix.from_blocks(identity, zero, zero, identity).g == 2
+    for blocks in ((identity, ((0,),), zero, identity),
+                   (identity, zero, zero, ((1, 0), (0,))),
+                   (identity, zero, ((0, 0),), identity)):
+        with pytest.raises(ValueError, match="blocks must all be 2 x 2"):
+            SymplecticMatrix.from_blocks(*blocks)
+
+
 def test_congruence_membership():
     ident = SymplecticMatrix(2, exact.identity(4))
     for n in (1, 2, 3, 5, 12):

@@ -11,7 +11,6 @@ from siegelkit.toroidal import (
     monomial_map,
     principal_cone,
     principal_cone_fixture,
-    sampled_overlap_free,
     verify_divisor_pullback,
 )
 
@@ -63,14 +62,37 @@ def test_contains_matches_a_fraction_inverse_on_a_grid():
             assert cone.contains(point, strict=True) == all(c > 0 for c in coords)
 
 
+OVERLAPPING = ConeSigma(((1, 0, 0), (0, 0, 1), (2, -1, 1)), 3)
+
+
 def test_sampled_overlap_check_can_fail():
     sigma = principal_cone(2)
-    overlapping = ConeSigma(((1, 0, 0), (0, 0, 1), (2, -1, 1)), 3)
-    assert overlapping.is_smooth()
+    assert OVERLAPPING.is_smooth()
     # 3 (1, 0, 0) + (0, 0, 1) + (1, -1, 1) = (4, -1, 2) = 2 (1, 0, 0) + (0, 0, 1) + (2, -1, 1)
-    assert sigma.contains((4, -1, 2), strict=True) and overlapping.contains((4, -1, 2), strict=True)
-    assert not sampled_overlap_free([sigma, overlapping])
-    assert sampled_overlap_free([sigma])
+    assert sigma.contains((4, -1, 2), strict=True) and OVERLAPPING.contains((4, -1, 2), strict=True)
+    assert not sigma.across_facet(OVERLAPPING)
+
+
+def test_across_facet_accepts_the_pinned_neighbors_and_refuses_other_pairs():
+    fx = principal_cone_fixture(2)
+    assert all(fx.cone.across_facet(image) for _, image in fx.neighbors)
+    with pytest.raises(ValueError, match="sharing all rays but one"):
+        fx.cone.across_facet(gl2_image(((1, 1), (1, 2)), fx.cone))     # shares one ray
+    with pytest.raises(ValueError, match="sharing all rays but one"):
+        fx.cone.across_facet(ConeSigma(((1, 0, 0), (0, 0, 1)), 3))      # not a top cone
+    with pytest.raises(ValueError, match="sharing all rays but one"):
+        fx.cone.across_facet(fx.cone)
+
+
+def _strictly_shared_points(cones):
+    return [p for p in product(range(-6, 7), repeat=3)
+            if sum(cone.contains(p, strict=True) for cone in cones) > 1]
+
+
+def test_fixture_cones_share_no_interior_point_on_a_grid():
+    fx = principal_cone_fixture(2)
+    assert _strictly_shared_points([fx.cone] + [image for _, image in fx.neighbors]) == []
+    assert len(_strictly_shared_points([fx.cone, OVERLAPPING])) == 28
 
 
 def test_gl2_image_rejects_non_unimodular_matrices():
