@@ -16,8 +16,8 @@ metric (its Ricci form is -tr Omega) and the Hodge bundle with its frame Gram
 matrix.  One central-difference stencil computes it.  Its offsets are integer
 vectors in units of the least step, deduplicated by one integer sort; its
 distinct points are evaluated in one kernel call, each checked like a base
-point.  A Richardson step-halving comparison guards against roundoff-dominated
-steps.
+point, and the curvature check reads G(tau) from its zero offset.  A Richardson
+step-halving comparison guards against roundoff-dominated steps.
 """
 
 from dataclasses import dataclass
@@ -201,17 +201,18 @@ def _stencil_layout(m, steps):
 
 
 def _chern_curvature(kernel, tau, dirs, steps):
-    """d_c G at tau and Omega[c, d] = -dbar_d(G^{-1} d_c G), per step s, for G = kernel(tau).
+    """G, and d_c G and Omega[c, d] = -dbar_d(G^{-1} d_c G) per step s, at tau for G = kernel.
 
     ``kernel`` maps points (P, g, g) to Hermitian (P, n, n).  G^{-1} d_c G is taken
     at the legs tau + s a X_d from the legs s b X_c around each (a, b in _LEGS); the
-    distinct points of _stencil_layout are evaluated in one kernel call.
+    distinct points of _stencil_layout are evaluated in one kernel call, G at their zero offset.
     """
     m, k = len(dirs), len(steps)
     offsets, index = _stencil_layout(m, steps)
     steps = np.asarray(steps)
     values = kernel(tau.tau + np.einsum("uk,kab->uab", offsets[:, :m] + 1j * offsets[:, m:], dirs))
     n = values.shape[-1]
+    gram = values[np.flatnonzero(~offsets.any(axis=1))[0]]
     values = values[index].reshape(k, -1, n, n)
     at_legs = values[:, : 4 * m].reshape(k, m, 4, n, n)
     at_around = values[:, 4 * m:].reshape(k, m, m, 4, 4, n, n)
@@ -219,7 +220,7 @@ def _chern_curvature(kernel, tau, dirs, steps):
     d_around = np.einsum("scdqpij,p,s->scdqij", at_around, _D_DZ, 1 / steps)
     connection = np.linalg.solve(at_legs[:, None], d_around)
     omega = -np.einsum("scdqij,q,s->scdij", connection, _D_DZBAR, 1 / steps)
-    return d_gram, omega
+    return gram, d_gram, omega
 
 
 def _check_step(h):
@@ -256,7 +257,7 @@ def kahler_einstein_check(tau_samples, h=1e-3):
     einstein_residual = 0.0
     for tau in tau_samples:
         dirs = _basis_stack(tau.g)
-        d_gram, omega = _chern_curvature(lambda taus: _metric_stack(taus, dirs), tau, dirs, [h, h / 2])
+        _, d_gram, omega = _chern_curvature(lambda taus: _metric_stack(taus, dirs), tau, dirs, [h, h / 2])
         # d(omega) = 0 reduces to the symmetry of holomorphic derivatives
         dw_residual = max(dw_residual, float(np.max(np.abs(d_gram[0] - d_gram[0].swapaxes(0, 1)))))
         ric = -np.trace(omega, axis1=-2, axis2=-1)
@@ -285,10 +286,11 @@ def higgs_curvature_identity_check(tau: SiegelPoint, h=1e-3):
     E = E^{1,0} + E^{0,1} carries the frame of _frame_grams: the filtration
     frame f_j and, for the quotient V/F^1, the H^{0,1}-components of the
     first g coordinate vectors.  The curvature is the Chern curvature stencil
-    of its Gram matrix at h; the right-hand side is algebraic in the
-    Higgs matrices.  The report also measures how far the Higgs matrices are
-    from symmetric (the Sym^2 embedding of the tangent bundle).  The verdict
-    "pass" is the curvature residual within CURVATURE_BOUND.
+    of its Gram matrix at h, whose zero offset gives G(tau) for theta*; the
+    right-hand side is algebraic in the Higgs matrices.  The report also
+    measures how far the Higgs matrices are from symmetric (the Sym^2
+    embedding of the tangent bundle).  The verdict "pass" is the curvature
+    residual within CURVATURE_BOUND.
 
     The companion identity theta ^ theta = 0 is not measured: in weight one
     it holds by Hodge type.  theta maps E^{1,0} to E^{0,1} and kills E^{0,1},
@@ -302,16 +304,16 @@ def higgs_curvature_identity_check(tau: SiegelPoint, h=1e-3):
     g = tau.g
     dirs = _basis_stack(g)
     m = len(dirs)
-    curv = _chern_curvature(_frame_grams, tau, dirs, [h])[1][0]
+    gram, _, curv = _chern_curvature(_frame_grams, tau, dirs, [h])
     theta = np.zeros((m, 2 * g, 2 * g), dtype=complex)
     theta[:, g:, :g] = dirs        # quotient-frame matrix of theta(X) is X itself
     # adjoint under <u, v> = t(u) G conj(v)
-    gbar = _frame_grams(tau.tau[None])[0].conj()
+    gbar = gram.conj()
     theta_star = np.linalg.solve(gbar, theta.conj().swapaxes(-1, -2) @ gbar)
     rhs = -(theta[:, None] @ theta_star[None] - theta_star[None] @ theta[:, None])
 
     sym_residual = max(HiggsElement(g, s).symmetry_defect() for s in _higgs_matrices(tau, dirs))
-    curvature_residual = float(np.max(np.abs(curv - rhs)))
+    curvature_residual = float(np.max(np.abs(curv[0] - rhs)))
     return {
         "curvature_residual": curvature_residual,
         "sym_square_residual": sym_residual,

@@ -228,8 +228,10 @@ def boundary_growth_probe(g, sample_radii):
     if g not in (1, 2):
         raise ValueError("probe supports g = 1 or 2")
     radii = [float(r) for r in sample_radii]
-    if not radii or not all(0 < r < math.exp(-2 * math.pi) for r in radii):
+    if not all(0 < r < math.exp(-2 * math.pi) for r in radii):
         raise ValueError("radii must lie in (0, exp(-2 pi))")
+    if len(set(radii)) < 2:
+        raise ValueError("fitting an exponent needs at least two distinct radii")
     basis = tangent_basis(g)
     rows = {i: [] for i in range(len(basis))}
     for r in radii:

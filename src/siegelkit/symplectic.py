@@ -4,7 +4,9 @@ All arithmetic in this module is exact (ints, and Fractions only where a
 denominator appears): the symplectic identities are checked bit-exactly, never
 with tolerances.  Symplecticity is verified where a matrix enters from outside
 (the constructor, ``from_blocks``, ``from_json``); products and inverses of
-verified elements are symplectic by the group law and are not re-checked.
+verified elements are symplectic by the group law and are not re-checked,
+and so are the generators J, (I, B; 0, I) and (t(U)^{-1}, 0; 0, U) by their
+block form: only their outside data is checked (B symmetric, U invertible).
 """
 
 import random
@@ -27,16 +29,8 @@ class SymplecticForm:
 
     @property
     def matrix(self):
-        g = self.g
-        rows = []
-        for i in range(2 * g):
-            row = [0] * (2 * g)
-            if i < g:
-                row[g + i] = -1
-            else:
-                row[i - g] = 1
-            rows.append(tuple(row))
-        return tuple(rows)
+        n = 2 * self.g
+        return tuple(tuple((i - j == self.g) - (j - i == self.g) for j in range(n)) for i in range(n))
 
     def pairing(self, u, v):
         """Evaluate the form on a pair of 2g-vectors, exactly."""
@@ -94,11 +88,7 @@ class SymplecticMatrix:
     @classmethod
     def from_blocks(cls, a, b, c, d):
         a, b, c, d = map(exact.to_exact, (a, b, c, d))
-        g = len(a)
-        if any(len(blk) != g or any(len(row) != g for row in blk) for blk in (a, b, c, d)):
-            raise ValueError(f"blocks must all be {g} x {g}")
-        rows = [a[i] + b[i] for i in range(g)] + [c[i] + d[i] for i in range(g)]
-        return cls(g, tuple(rows))
+        return cls(len(a), _block_rows(a, b, c, d))
 
     @property
     def blocks(self):
@@ -119,7 +109,7 @@ class SymplecticMatrix:
 
     @classmethod
     def _verified(cls, g, entries):
-        """Wrap entries that the group law already makes symplectic, unchecked."""
+        """Wrap entries symplectic by construction (group law, block form), unchecked."""
         m = object.__new__(cls)
         object.__setattr__(m, "g", g)
         object.__setattr__(m, "entries", exact.to_exact(entries))
@@ -146,6 +136,14 @@ class SymplecticMatrix:
         return cls(data["g"], exact.from_json_entries(data["entries"]))
 
 
+def _block_rows(a, b, c, d):
+    """Rows of (A, B; C, D) for exact blocks, all g x g with g >= 1; ValueError otherwise."""
+    g = len(a)
+    if g < 1 or any(len(blk) != g or any(len(row) != g for row in blk) for blk in (a, b, c, d)):
+        raise ValueError(f"blocks must all be {g} x {g}" if g else "blocks must be non-empty")
+    return tuple(a[i] + b[i] for i in range(g)) + tuple(c[i] + d[i] for i in range(g))
+
+
 def congruence_membership(m: SymplecticMatrix, n: int) -> bool:
     """Whether an integral symplectic matrix lies in the level-n subgroup."""
     if n < 1:
@@ -169,24 +167,27 @@ def congruence_membership(m: SymplecticMatrix, n: int) -> bool:
 
 
 def j_matrix(g) -> SymplecticMatrix:
-    return SymplecticMatrix(g, SymplecticForm(g).matrix)
+    return SymplecticMatrix._verified(g, SymplecticForm(g).matrix)
 
 
 def translation(b) -> SymplecticMatrix:
-    """(I, B; 0, I) for symmetric B."""
+    """(I, B; 0, I) for symmetric B with rational entries."""
     b = exact.to_exact(b)
+    g = len(b)
+    rows = _block_rows(exact.identity(g), b, exact.zeros(g), exact.identity(g))
     if not exact.is_symmetric(b):
         raise ValueError("translation block must be symmetric")
-    g = len(b)
-    return SymplecticMatrix.from_blocks(exact.identity(g), b, exact.zeros(g), exact.identity(g))
+    return SymplecticMatrix._verified(g, rows)
 
 
 def gl_embedding(u) -> SymplecticMatrix:
-    """(t(U)^{-1}, 0; 0, U) for U in GL(g, Z)."""
+    """(t(U)^{-1}, 0; 0, U) for U in GL(g, Q); U need not be unimodular."""
     u = exact.to_exact(u)
     g = len(u)
-    a = exact.transpose(exact.inverse(u))
-    return SymplecticMatrix.from_blocks(a, exact.zeros(g), exact.zeros(g), u)
+    if g < 1 or any(len(row) != g for row in u):
+        raise ValueError("U must be a non-empty square matrix")
+    a = exact.transpose(exact.inverse(u))  # ValueError for a singular U
+    return SymplecticMatrix._verified(g, _block_rows(a, exact.zeros(g), exact.zeros(g), u))
 
 
 def _random_symmetric(g, rng, bound=2):
@@ -232,8 +233,8 @@ def random_congruence_element(g, n, rng=None, word_length=3) -> SymplecticMatrix
     word = []
     for _ in range(rng.randint(1, word_length)):
         t = translation(exact.scalar_mul(n, _random_symmetric(g, rng, 1)))
-        if rng.random() < 0.5:
-            t = SymplecticMatrix(g, exact.transpose(t.entries))  # lower translation
+        if rng.random() < 0.5:  # lower translation, symplectic as t(M) J M = J <=> M J t(M) = J
+            t = SymplecticMatrix._verified(g, exact.transpose(t.entries))
         gamma = random_symplectic(g, rng, word_length=2)
         word.append(gamma @ t @ gamma.inverse())
     return reduce(matmul, word)

@@ -9,8 +9,8 @@ standing regularity hypothesis on the polyhedral decompositions.
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, product
-from math import gcd
+from itertools import product
+from math import comb, gcd
 
 from . import exact
 
@@ -51,13 +51,6 @@ class ConeSigma:
     def is_smooth(self):
         """Rays form a lattice basis (determinant +-1)."""
         return self.is_top() and abs(exact.det(self.rays)) == 1
-
-    def face_lattice(self):
-        """Faces by dimension: subsets of rays (simplicial), plus the origin."""
-        faces = {0: [tuple()]}
-        for size in range(1, len(self.rays) + 1):
-            faces[size] = [tuple(sub) for sub in combinations(self.rays, size)]
-        return faces
 
     @cached_property
     def dual_basis(self):
@@ -130,7 +123,8 @@ def principal_cone_fixture(g=2) -> PrincipalConeFixture:
             seen.setdefault(image.ray_set(), (u, image))
     neighbors = tuple(seen.values())
     admissible = all(sigma.across_facet(image) for _, image in neighbors)
-    face_counts = {d: len(fs) for d, fs in sigma.face_lattice().items()}
+    # a simplicial cone's faces of dimension d are its d-subsets of rays
+    face_counts = {d: comb(len(sigma.rays), d) for d in range(len(sigma.rays) + 1)}
     return PrincipalConeFixture(sigma, face_counts, neighbors, admissible)
 
 

@@ -321,3 +321,11 @@ def test_numerical_failure_exit_code(capsys, monkeypatch, error, code):
 def test_boundary_growth_cli(capsys):
     code, payload = run(capsys, "boundary-growth", "--genus", "1")
     assert code == 0 and payload["pass"]
+
+
+@pytest.mark.parametrize("genus, radii", [("1", "1e-3"), ("2", "1e-3,1e-3")])
+def test_boundary_growth_cli_refuses_one_radius(capsys, genus, radii):
+    assert main(["boundary-growth", "--genus", genus, "--radii", radii]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "two distinct radii" in json.loads(captured.err)["error"]

@@ -139,13 +139,21 @@ def test_symplecticity_checked_at_construction_only(monkeypatch):
     calls = []
     check = symplectic.is_symplectic
     monkeypatch.setattr(symplectic, "is_symplectic", lambda m: calls.append(1) or check(m))
-    built = [j_matrix(2), translation(((1, 2), (2, 0))), gl_embedding(((1, 1), (0, 1))),
-             SymplecticMatrix(2, exact.identity(4))]
-    built.append(SymplecticMatrix.from_json(built[0].to_json()))
-    assert len(calls) == len(built)
-    m = built[0] @ built[1] @ built[2]
+    # generators are symplectic by their block form: only B and U are checked
+    gens = [j_matrix(2), translation(((1, 2), (2, 0))), gl_embedding(((1, 1), (0, 1))),
+            gl_embedding(((2, 0), (0, 1)))]
+    words = [symplectic.random_symplectic(2, random.Random(s)) for s in range(5)]
+    words += [symplectic.random_congruence_element(2, 2, random.Random(s)) for s in range(5)]
+    m = gens[0] @ gens[1] @ gens[2]
     m.inverse()
-    assert len(calls) == len(built)
+    assert calls == []
+    # matrices entering from outside are checked once each
+    for make in (lambda: SymplecticMatrix(2, exact.identity(4)),
+                 lambda: SymplecticMatrix.from_blocks(*gens[1].blocks),
+                 lambda: SymplecticMatrix.from_json(words[0].to_json())):
+        before = len(calls)
+        make()
+        assert len(calls) == before + 1
     bad = ((1, 1), (1, 1))
     for make in (lambda: SymplecticMatrix(1, bad),
                  lambda: SymplecticMatrix.from_blocks(((1,),), ((1,),), ((1,),), ((1,),)),

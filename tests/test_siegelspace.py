@@ -169,3 +169,10 @@ def test_boundary_growth_probe():
         boundary_growth_probe(1, [0.5])
     with pytest.raises(ValueError):
         boundary_growth_probe(3, radii)
+
+
+@pytest.mark.parametrize("radii", [[], [1e-3], [1e-3, 1e-3]])
+def test_boundary_growth_needs_two_distinct_radii(radii):
+    for g in (1, 2):
+        with pytest.raises(ValueError, match="two distinct radii"):
+            boundary_growth_probe(g, radii)

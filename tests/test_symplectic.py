@@ -1,8 +1,11 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from siegelkit import exact
 from siegelkit.symplectic import (
@@ -142,6 +145,69 @@ def test_generators_are_symplectic():
     assert is_symplectic(gl_embedding(((1, 5), (0, 1))).entries)
     with pytest.raises(ValueError):
         translation(((0, 1), (2, 0)))              # not symmetric
+
+
+@st.composite
+def _square(draw, g, entries):
+    return tuple(tuple(draw(entries) for _ in range(g)) for _ in range(g))
+
+
+_INTS = st.integers(-5, 5)
+_FRACTIONS = st.fractions(-3, 3, max_denominator=4)
+
+
+@settings(max_examples=30, deadline=None)
+@given(g=st.integers(1, 3), data=st.data())
+def test_generators_satisfy_the_symplectic_identity(g, data):
+    assert is_symplectic(j_matrix(g).entries)
+    for entries in (_INTS, _FRACTIONS):
+        b = data.draw(_square(g, entries))
+        b = tuple(tuple(b[min(i, j)][max(i, j)] for j in range(g)) for i in range(g))
+        assert is_symplectic(translation(b).entries)
+    # unit upper times unit lower triangular, with a sign: unimodular
+    upper, lower = data.draw(_square(g, _INTS)), data.draw(_square(g, _INTS))
+    upper = tuple(tuple(x if j > i else int(i == j) for j, x in enumerate(row)) for i, row in enumerate(upper))
+    lower = tuple(tuple(x if j < i else int(i == j) for j, x in enumerate(row)) for i, row in enumerate(lower))
+    unimodular = exact.scalar_mul(data.draw(st.sampled_from([1, -1])), exact.mat_mul(upper, lower))
+    invertible = data.draw(_square(g, _INTS))
+    assume(exact.det(invertible) not in (0, 1, -1))
+    rational = data.draw(_square(g, _FRACTIONS))
+    assume(exact.det(rational) != 0)
+    for u in (unimodular, invertible, rational):
+        m = gl_embedding(u)
+        assert is_symplectic(m.entries) and m.blocks[3] == exact.to_exact(u)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: j_matrix(0),
+    lambda: translation(((0, 1), (2, 0))),
+    lambda: translation(((1, 2), (2, 3, 4))),
+    lambda: translation(()),
+    lambda: gl_embedding(()),
+    lambda: gl_embedding(((1, 2), (2, 4))),
+    lambda: gl_embedding(((1, 0, 0), (0, 1, 0))),
+    lambda: gl_embedding(((1, 0), (0,))),
+], ids=["j-g0", "b-asymmetric", "b-ragged", "b-empty", "u-empty", "u-singular", "u-not-square",
+        "u-ragged"])
+def test_generators_refuse_bad_outside_data(make):
+    with pytest.raises(ValueError):
+        make()
+
+
+def _word_digest(make, seeds=range(100)):
+    digest = hashlib.sha256()
+    for g in (1, 2, 3):
+        for seed in seeds:
+            digest.update(json.dumps(make(g, random.Random(seed)).to_json()).encode())
+    return digest.hexdigest()
+
+
+def test_random_words_are_pinned():
+    # recorded when every generator still went through the checking constructor
+    assert _word_digest(lambda g, rng: random_symplectic(g, rng)) \
+        == "9d2058b2a7ab8d065610450b649e89dd2775160abb95a149d7c6493fc0f92d7c"
+    assert _word_digest(lambda g, rng: random_congruence_element(g, 2, rng)) \
+        == "9b3976493810d8443667cbd33d15aa2b1ebd9c31ff2141e73f1a1bc33f4fbd2c"
 
 
 def test_json_round_trip_with_rationals():
