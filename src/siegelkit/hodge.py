@@ -3,12 +3,13 @@
 The metric on tangent directions is obtained by pushing a direction through
 the derivative of the Hodge filtration (the Higgs map) and taking the inner
 product psi(C u, conj v) induced by the polarization and the Weil operator C.
-One private kernel evaluates these pairings for a whole stack of points tau:
-a single batched solve against [F, conj F], F = (tau; I), gives both the
-Weil operator and the H^{0,1}-components that the Higgs map needs.  The
-splitting V_C = F^1 + conj(F^1) is checked on the real matrix [Re F, Im F]:
-a unitary change of basis W takes [F, conj F] to sqrt(2) [Re F, Im F], so
-both have one condition number, and a real SVD decides it.
+One private kernel evaluates these pairings for a whole stack of points tau
+from one real inverse per point: with F = (tau; I) and R = [Re F, Im F], the
+unitary W = [[I, -iI], [I, iI]] / sqrt(2) gives [F, conj F]^{-1} = W R^{-1} / sqrt(2),
+so R^{-1} holds the H^{0,1}-components that the Higgs map needs, and the Weil
+operator is the real R t(J) R^{-1}.  The splitting V_C = F^1 + conj(F^1) is
+refused when ||R||_F ||R^{-1}||_F, an upper bound for its condition number
+(within a factor 2g), exceeds DECOMPOSITION_COND_LIMIT.
 
 Both curvature claims are one computation, the Chern curvature
 Omega = -dbar(G^{-1} dG), on two bundles: the tangent bundle with the Hodge
@@ -53,11 +54,15 @@ class StepSizeError(ArithmeticError):
     """Raised when step halving shows a finite-difference step is unusable."""
 
 
-def _check_split(f):
-    # V_C = F^1 + conj(F^1) is decided by [Re F, Im F], as well-conditioned as [F, conj F]:
-    # [F, conj F] W = sqrt(2) [Re F, Im F] for the unitary W = [[I, -iI], [I, iI]] / sqrt(2)
-    if np.max(np.linalg.cond(np.concatenate([f.real, f.imag], axis=-1))) > DECOMPOSITION_COND_LIMIT:
+def _split_inverse(f):
+    # R = [Re F, Im F] and R^{-1}; ||R||_F ||R^{-1}||_F lies in [cond_2(R), 2g cond_2(R)], so the
+    # limit refuses every F whose condition number exceeds it (and a NaN, which fails the <=)
+    real = np.concatenate([f.real, f.imag], axis=-1)
+    inv = np.linalg.inv(real)
+    cond = np.linalg.norm(real, axis=(-2, -1)) * np.linalg.norm(inv, axis=(-2, -1))
+    if not np.max(cond) <= DECOMPOSITION_COND_LIMIT:
         raise ValueError("F^1 and conj(F^1) do not split V_C (ill-conditioned)")
+    return real, inv
 
 
 @dataclass(frozen=True)
@@ -68,7 +73,7 @@ class HodgeStructureW1:
     F1: PeriodPoint
 
     def __post_init__(self):
-        _check_split(self.F1.basis)
+        _split_inverse(self.F1.basis)
 
     @classmethod
     def from_tau(cls, tau: SiegelPoint):
@@ -138,21 +143,20 @@ def _frame_grams(taus):
     ``taus`` has shape (P, g, g).  F = (tau; I) spans E^{1,0} = F^1; B holds
     the H^{0,1}-components of the first g coordinate vectors, so conj(F) B
     represents E^{0,1} = V/F^1, and conj(F) B X is the Higgs image of F along
-    X.  One batched solve against [F, conj F] gives B and the Weil operator
-    C = [F, conj F] diag(i, -i) [F, conj F]^{-1}.  Every point is checked for
-    Im tau > 0 and for a well-conditioned splitting V_C = F^1 + conj(F^1).
+    X.  Both B = (R^{-1}[:g, :g] + i R^{-1}[g:, :g]) / 2 and the Weil operator
+    C = R t(J) R^{-1} come from one real inverse of R = [Re F, Im F].  Every point
+    is checked for Im tau > 0 and for a well-conditioned splitting V_C = F^1 + conj(F^1).
     """
     taus = np.asarray(taus, dtype=complex)
     g = taus.shape[-1]
     if np.min(np.linalg.eigvalsh(taus.imag)) <= 0:
         raise ValueError("Im(tau) must be positive definite at every point")
     f = np.concatenate([taus, np.broadcast_to(np.eye(g), taus.shape)], axis=-2)
-    _check_split(f)
-    split = np.concatenate([f, f.conj()], axis=-1)
-    coeffs = np.linalg.inv(split)
-    weil = split @ (np.repeat([1j, -1j], g)[:, None] * coeffs)
-    frame = np.concatenate([f, f.conj() @ coeffs[:, g:, :g]], axis=-1)
-    return (weil @ frame).swapaxes(-1, -2) @ j_matrix_float(g) @ frame.conj()
+    real, inv = _split_inverse(f)
+    j = j_matrix_float(g)
+    weil = real @ j.T @ inv
+    frame = np.concatenate([f, f.conj() @ ((inv[:, :g, :g] + 1j * inv[:, g:, :g]) / 2)], axis=-1)
+    return (weil @ frame).swapaxes(-1, -2) @ j @ frame.conj()
 
 
 def _metric_stack(taus, dirs):

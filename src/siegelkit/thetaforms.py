@@ -90,8 +90,8 @@ class TruncationParams:
     target: float = 1e-10
 
     def __post_init__(self):
-        if self.radius < 1:
-            raise ValueError("radius must be >= 1")
+        if isinstance(self.radius, bool) or not isinstance(self.radius, (int, np.integer)) or self.radius < 1:
+            raise ValueError("radius must be an integer >= 1")
         if not 0 < self.target < math.inf:      # tail > nan is never true
             raise ValueError("target must be finite and positive")
 
@@ -99,12 +99,8 @@ class TruncationParams:
 def theta_tail_estimate(tau: SiegelPoint, trunc: TruncationParams) -> float:
     """Conservative bound for the series tail outside the summation box."""
     lam = float(np.min(np.linalg.eigvalsh(tau.imag)))
-    g = tau.g
-    tail = 0.0
-    for s in range(trunc.radius, trunc.radius + 80):
-        shell = (2 * s + 3) ** g - (2 * s + 1) ** g
-        tail += shell * math.exp(-math.pi * lam * s * s)
-    return tail
+    s = np.arange(trunc.radius, trunc.radius + 80, dtype=float)     # the 80 shells beyond the box
+    return float(np.sum(((2 * s + 3) ** tau.g - (2 * s + 1) ** tau.g) * np.exp(-math.pi * lam * s * s)))
 
 
 def theta_constant(char: ThetaCharacteristic, tau: SiegelPoint,

@@ -350,6 +350,46 @@ def test_decomposition_condition_guard():
     st = HodgeStructureW1(2, borel_embed(tau))
     a, b = st.decompose(st.F1.basis[:, 0])
     assert np.allclose(a, [1, 0]) and np.allclose(b, [0, 0])
+    with pytest.raises(ValueError, match="ill-conditioned"):
+        HodgeStructureW1(2, borel_embed(SiegelPoint.scaled_identity(2, 1e-9)))
+
+
+def _split_refused(tau):
+    """Whether the kernel and HodgeStructureW1 refuse tau, as a pair."""
+    refused = []
+    for build in (lambda: _frame_grams(tau.tau[None]), lambda: HodgeStructureW1.from_tau(tau)):
+        try:
+            build()
+        except ValueError as err:
+            assert "ill-conditioned" in str(err)
+            refused.append(True)
+        else:
+            refused.append(False)
+    return tuple(refused)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_split_guard_refuses_every_point_the_condition_number_refuses(g):
+    # ||R||_F ||R^{-1}||_F >= cond_2(R), so the Frobenius guard refuses at least what an SVD refused
+    rng = np.random.default_rng(100 + g)
+    x = rng.standard_normal((g, g))
+    seen = set()
+    for real in (np.zeros((g, g)), (x + x.T) / 2):
+        for t in np.logspace(-12, -4, 41):
+            tau = SiegelPoint(g, real + 1j * t * np.eye(g))
+            f = borel_embed(tau).basis
+            refused = _split_refused(tau)
+            assert refused[0] == refused[1]
+            if np.linalg.cond(np.hstack([f.real, f.imag])) > hodge.DECOMPOSITION_COND_LIMIT:
+                assert refused[0]
+            seen.add(refused[0])
+    assert seen == {True, False}
+
+
+def test_split_guard_edge_at_genus_two():
+    # 1.5e-8 i I has cond_2 below the limit but its Frobenius product above it: newly refused
+    assert _split_refused(SiegelPoint.scaled_identity(2, 1.5e-8)) == (True, True)
+    assert _split_refused(SiegelPoint.scaled_identity(2, 3e-8)) == (False, False)
 
 
 # --- the verdicts can fail ------------------------------------------------------

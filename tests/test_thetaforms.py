@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from siegelkit import exact, thetaforms
 from siegelkit.symplectic import gl_embedding, j_matrix, translation
-from siegelkit.siegelspace import SiegelPoint, cocycle, moebius_act
+from siegelkit.siegelspace import SiegelPoint, cocycle, moebius_act, random_siegel_point
 from siegelkit.fourier import FourierExpansion, HalfIntegralMatrix
 from siegelkit.thetaforms import (
     LatticeGram,
@@ -141,6 +141,39 @@ def test_truncation_certificate():
     with pytest.raises(TruncationError):
         theta_constant(char, SiegelPoint(1, np.array([[0.5j]])),
                        TruncationParams(radius=3, target=1e-10))
+
+
+def _loop_tail(tau, trunc):
+    """The certified tail summed shell by shell in Python, kept as the reference."""
+    lam = float(np.min(np.linalg.eigvalsh(tau.imag)))
+    tail = 0.0
+    for s in range(trunc.radius, trunc.radius + 80):
+        shell = (2 * s + 3) ** tau.g - (2 * s + 1) ** tau.g
+        tail += shell * math.exp(-math.pi * lam * s * s)
+    return tail
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_tail_estimate_matches_the_shell_loop(g):
+    rng = np.random.default_rng(40 + g)
+    points = [SiegelPoint.scaled_identity(g, 0.05), SiegelPoint.scaled_identity(g)]
+    points += [random_siegel_point(g, rng, s) for s in (0.3, 1, 3)]
+    for tau in points:
+        for radius in range(1, 13):
+            trunc = TruncationParams(radius=radius, target=1.0)
+            expected = _loop_tail(tau, trunc)
+            assert abs(theta_tail_estimate(tau, trunc) - expected) <= 1e-15 * expected
+
+
+@pytest.mark.parametrize("radius", [2.5, 3.0, True, False, "4", None])
+def test_truncation_radius_must_be_an_integer(radius):
+    # np.arange accepts a float radius and bool is an int: both would slip past the tail
+    with pytest.raises(ValueError, match="radius"):
+        TruncationParams(radius=radius)
+
+
+def test_truncation_radius_accepts_numpy_integers():
+    assert TruncationParams(radius=np.int64(3)).radius == 3
 
 
 @pytest.mark.parametrize("target", [0.0, -1e-10, math.nan, math.inf])
