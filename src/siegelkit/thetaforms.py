@@ -12,7 +12,11 @@ elimination of the Gram matrix (`exact.symmetric_pivots`), and each level's
 range is an integer square root and two floor divisions.  A lattice whose
 integers could leave int64 is refused.  The tree covers only the half of the
 set whose first nonzero coordinate is positive (and 0); the other half is its
-negative.  The exact norms the tree computes are cached beside the vectors.
+negative.  The exact norms the tree computes are cached beside the vectors, in
+int64.  The vectors are cached in the narrowest signed integer type that holds
+every coordinate, because the cache is the memory peak: a rank-16 table at bound
+6 has 1,112,641 rows of 16 coordinates of at most 28 in absolute value, about
+18 MB in int8 against 142 MB in int64.  Arithmetic on them is done in int64.
 One tally kernel covers genus-g tuples of nonzero vectors (at most
 TALLY_BUDGET = 10^9, counted over the full classes) by a bincount of
 mixed-radix codes of their inner products.  It tallies only tuples from the
@@ -22,6 +26,7 @@ with a zero on the diagonal is read from the table one genus down.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
@@ -172,7 +177,9 @@ class LatticeGram:
         return self.determinant() == 1
 
     def norm(self, x):
-        """t(x) G x, exactly, for an integer coordinate vector."""
+        """t(x) G x, exactly, for an integer coordinate vector; numpy entries are taken as
+        Python integers, so a narrow row such as a `short_vectors` one cannot wrap."""
+        x = [operator.index(xi) for xi in x]
         return sum(xi * sum(g * xj for g, xj in zip(row, x)) for xi, row in zip(x, self.gram))
 
 
@@ -208,7 +215,9 @@ def named_lattice(name: str) -> LatticeGram:
 
 @lru_cache(maxsize=32)
 def _enumerate(lattice: LatticeGram, bound: int):
-    """(short_vectors(lattice, bound), the exact norm t(x) G x of each row), both read-only int64.
+    """(short_vectors(lattice, bound), the exact norm t(x) G x of each row), both read-only; the
+    norms are int64 and the vectors of the narrowest signed type that holds -top - 1, for top the
+    largest absolute coordinate (int8 for the named lattices up to bound 8), so x -> -x is exact.
 
     With the pivot rows [p_k, ..] of the reversed Gram (p_(-1) = 1) and the centre sums
     C_k = sum_{j>k} row_k[j - k] y_j, t(y) G y = sum_k L_k^2 / (p_k p_(k-1)), L_k = p_k y_k + C_k.
@@ -258,15 +267,16 @@ def _enumerate(lattice: LatticeGram, bound: int):
     # the leaves is the xi of their ancestors at level k, reached through the parent links
     half = len(room)
     node = np.arange(half)
-    # x_k by rows of the narrowest integer type that holds every coordinate,
-    # transposed into the result at the end (strided int64 column writes are slow)
+    # x_k by rows of the narrowest signed type that holds every coordinate and -top - 1,
+    # so negation is exact; the cached result keeps that type, and the rows are
+    # transposed into it at the end (strided column writes are slow)
     top = max(int(np.abs(xi).max(initial=0)) for _, xi in levels)
     columns = np.empty((r, half), dtype=np.min_scalar_type(-top - 1))
     for k in range(r - 1, -1, -1):              # levels[k] fixes x_k; each is freed once read
         parent, xi = levels.pop()
         columns[k] = xi[node]
         node = parent[node]
-    vecs = np.empty((2 * half - 1, r), dtype=np.int64)
+    vecs = np.empty((2 * half - 1, r), dtype=columns.dtype)
     vecs[half - 1:] = columns.T
     # x -> -x reverses lexicographic order
     np.negative(vecs[:half - 1:-1], out=vecs[:half - 1])
@@ -279,7 +289,10 @@ def _enumerate(lattice: LatticeGram, bound: int):
 @lru_cache(maxsize=32)
 def short_vectors(lattice: LatticeGram, bound: int):
     """All integer coordinate vectors with t(x) G x <= bound (zero included),
-    as a read-only int64 array in lexicographic order.
+    as a read-only array in lexicographic order.  Its dtype is the narrowest
+    signed integer type that holds every coordinate, so arithmetic that could
+    leave that type must widen it first (`lattice_theta_coefficients` tallies
+    in int64, `LatticeGram.norm` in Python integers).
 
     The tree of partial vectors is expanded one coordinate level at a time over
     the whole frontier, in exact integers only (`_enumerate`, which refuses a
@@ -355,7 +368,7 @@ def lattice_theta_coefficients(lattice: LatticeGram, genus: int, trace_bound: in
     @lru_cache(maxsize=None)
     def rows(n):                          # the positive half of the class of norm n
         half = len(vecs) // 2 + 1         # vecs[half:]: first nonzero coordinate positive
-        return vecs[half:][vec_norms[half:] == n]
+        return vecs[half:][vec_norms[half:] == n].astype(np.int64)   # the tally works in int64
 
     def digits(left, n, i, j, weight):    # weight * t(x_i) G x_j for x_j of norm n, on axes i and j
         return weight * np.expand_dims(left @ gram_np @ rows(n).T, tuple(set(range(genus)) - {i, j}))

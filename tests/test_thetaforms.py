@@ -304,7 +304,8 @@ def test_short_vectors_match_box_enumeration(gram, bound):
     norms = np.array([lattice.norm(x) for x in box.tolist()])
     expected = box[norms <= bound]
     got = short_vectors(lattice, bound)
-    assert got.dtype == np.int64 and not got.flags.writeable
+    # the narrowest signed type that holds every coordinate and its negative
+    assert got.dtype == np.min_scalar_type(-int(np.abs(got).max(initial=0)) - 1) and not got.flags.writeable
     assert got.shape == expected.shape and np.array_equal(got, expected)
     # the tree enumerates one sign: the rest is the mirror image, about 0 in the middle
     assert np.array_equal(got[::-1], -got) and not got[len(got) // 2].any()
@@ -419,6 +420,24 @@ def test_rank16_shells_at_bound_6():
         norms = np.einsum("ni,ij,nj->n", vecs, np.array(lattice.gram), vecs)
         assert np.bincount(norms)[::2].tolist() == [1, 480, 61920, 1050240]
         assert np.array_equal(thetaforms._enumerate(lattice, 6)[1], norms)
+        # one byte a coordinate: the largest is 12 for E8+E8 and 28 for E16
+        assert vecs.dtype == np.int8 and vecs.nbytes == 17_802_256
+    # E16's int8 row with coordinate 28 keeps its exact norm
+    e16 = named_lattice("e16")
+    vecs, norms = thetaforms._enumerate(e16, 6)
+    i = np.abs(vecs).max(axis=1).argmax()
+    assert np.abs(vecs[i]).max() == 28
+    assert e16.norm(vecs[i]) == e16.norm(vecs[i].tolist()) == norms[i]
+
+
+def test_short_vectors_take_the_narrowest_type_and_norm_stays_exact():
+    line = LatticeGram("line", 1, [[2]])
+    for top, dtype in ((100, np.int8), (127, np.int8), (128, np.int16), (200, np.int16)):
+        vecs, norms = thetaforms._enumerate(line, 2 * top * top)
+        assert vecs.dtype == dtype and vecs.ravel().tolist() == list(range(-top, top + 1))
+        # the narrow row (top) has its exact norm: arithmetic in int8 would read 32 at top = 100
+        assert norms.dtype == np.int64
+        assert line.norm(vecs[-1]) == line.norm(vecs[-1].tolist()) == norms[-1] == 2 * top * top
 
 
 def test_lattice_theta_coefficients():
