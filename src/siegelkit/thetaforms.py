@@ -5,18 +5,20 @@ constants), and the weight-8 difference of the two rank-16 even unimodular
 theta series.
 
 Lattice coefficients are exact integers.  Short vectors come from a
-Fincke-Pohst enumeration expanded level by level over the whole frontier in
-numpy and decided in int64 alone: each node carries integer centre sums and an
-integer room, both read off the pivot rows of one fraction-free symmetric
-elimination of the Gram matrix (`exact.symmetric_pivots`), and each level's
-range is an integer square root and two floor divisions.  A lattice whose
-integers could leave int64 is refused.  The tree covers only the half of the
-set whose first nonzero coordinate is positive (and 0); the other half is its
-negative.  The exact norms the tree computes are cached beside the vectors, in
-int64.  The vectors are cached in the narrowest signed integer type that holds
-every coordinate, because the cache is the memory peak: a rank-16 table at bound
-6 has 1,112,641 rows of 16 coordinates of at most 28 in absolute value, about
-18 MB in int8 against 142 MB in int64.  Arithmetic on them is done in int64.
+Fincke-Pohst enumeration decided in int64 alone: each node carries integer
+centre sums and an integer room, both read off the pivot rows of one
+fraction-free symmetric elimination of the Gram matrix
+(`exact.symmetric_pivots`), and each level's range is an integer square root
+and two floor divisions.  A lattice whose integers could leave int64 is
+refused.  The tree is walked depth first in numpy blocks of at most ENUM_BLOCK
+nodes (more only as the children of one parent), each holding its fixed
+coordinates, and covers only the half of the set whose first nonzero coordinate
+is positive (and 0); the other half is its negative.  The cache is the memory
+peak, so it keeps the vectors and their exact norms in the narrowest signed
+types that hold every coordinate and the bound: a rank-16 table at bound 6 has
+1,112,641 rows of 16 coordinates of at most 28 in absolute value, about 19 MB
+in int8 against 151 MB in int64, and the walk holds about 11 MB more.
+Arithmetic on them is done in int64.
 One tally kernel covers genus-g tuples of nonzero vectors (at most
 TALLY_BUDGET = 10^9, counted over the full classes) by a bincount of
 mixed-radix codes of their inner products.  It tallies only tuples from the
@@ -216,8 +218,9 @@ def named_lattice(name: str) -> LatticeGram:
 @lru_cache(maxsize=32)
 def _enumerate(lattice: LatticeGram, bound: int):
     """(short_vectors(lattice, bound), the exact norm t(x) G x of each row), both read-only; the
-    norms are int64 and the vectors of the narrowest signed type that holds -top - 1, for top the
-    largest absolute coordinate (int8 for the named lattices up to bound 8), so x -> -x is exact.
+    vectors are of the narrowest signed type that holds -top - 1, for top the largest absolute
+    coordinate (int8 for the named lattices up to bound 8), so x -> -x is exact, and the norms of
+    the narrowest one that holds -bound - 1.
 
     With the pivot rows [p_k, ..] of the reversed Gram (p_(-1) = 1) and the centre sums
     C_k = sum_{j>k} row_k[j - k] y_j, t(y) G y = sum_k L_k^2 / (p_k p_(k-1)), L_k = p_k y_k + C_k.
@@ -229,6 +232,10 @@ def _enumerate(lattice: LatticeGram, bound: int):
     (isqrt(p_k p_(k-1) bound) + M_k) // p_k with M_k = sum_{j>k} |row_k[j - k]| Y_j, which bounds
     every partial C_k.  ValueError unless each p_k p_(k-1) bound, M_k and pivot-row entry is
     below 2^62, so that a sum of two stays below the int64 limit 2^63.
+
+    The tree is walked depth first in blocks of nodes of one level; a block with more than
+    ENUM_BLOCK children is split into runs of whole parents, the first expanded first, so the
+    leaves come out in lexicographic order.
     """
     if bound < 0:
         raise ValueError("bound must be >= 0")
@@ -244,43 +251,58 @@ def _enumerate(lattice: LatticeGram, bound: int):
     if peak >= 1 << 62:
         raise ValueError(f"{lattice.name} at bound {bound} needs integers up to {peak}, past 2^62")
     upper = np.array([[0] * k + row for k, row in enumerate(rows)], dtype=np.int64)
-    sums = np.zeros((1, r), dtype=np.int64)     # centre sums C_k of the open levels
-    room = np.array([p[-1] * bound], dtype=np.int64)
-    levels = []                                 # (parent index, coordinate) per level
-    for i in range(r - 1, -1, -1):
+    # a block of level i: centre sums C_k (k <= i), room, and rows of the fixed coordinates,
+    # zero past them, in the narrowest signed type that holds every -Y_k - 1
+    stack = [(r - 1, np.zeros((1, r), dtype=np.int64), np.array([p[-1] * bound], dtype=np.int64),
+              np.zeros((1, r), dtype=np.min_scalar_type(-max(ymax) - 1)))]
+    norm_type = np.min_scalar_type(-bound - 1)
+    leaves = []                                 # (coordinates, norms) per leaf block, in order
+    while stack:
+        i, sums, room, coords = stack.pop()
         c, cap = sums[:, i], prev[i] * room     # cap is T
         t = np.sqrt(cap).astype(np.int64)       # isqrt: a float sqrt, then one integer step each way
         t -= t * t > cap
         t += (t + 1) * (t + 1) <= cap
         lo, hi = -((t + c) // p[i]), (t - c) // p[i]
-        # node 0, the least prefix, is the all-zero one: its children start at 0,
-        # so the tree holds 0 and the vectors whose first nonzero coordinate is positive
-        lo[:1] = np.maximum(lo[:1], 0)
+        # the all-zero prefix, the least of its level, can only come first in a block; its children
+        # start at 0, so the tree holds 0 and the vectors whose first nonzero coordinate is positive
+        if not coords[0].any():
+            lo[0] = max(lo[0], 0)
         width = np.maximum(hi - lo + 1, 0)
-        parent = np.repeat(np.arange(len(width)), width)
-        xi = lo[parent] + np.arange(len(parent)) - np.repeat(np.cumsum(width) - width, width)
-        lin = p[i] * xi + c[parent]
-        room = (cap[parent] - lin * lin) // p[i]
-        sums = sums[parent, :i] + xi[:, None] * upper[:i, i]
-        levels.append((parent, xi))
-    # every leaf is inside the bound, and the leaves are in lexicographic order; x_k over
-    # the leaves is the xi of their ancestors at level k, reached through the parent links
-    half = len(room)
-    node = np.arange(half)
-    # x_k by rows of the narrowest signed type that holds every coordinate and -top - 1,
-    # so negation is exact; the cached result keeps that type, and the rows are
-    # transposed into it at the end (strided column writes are slow)
-    top = max(int(np.abs(xi).max(initial=0)) for _, xi in levels)
-    columns = np.empty((r, half), dtype=np.min_scalar_type(-top - 1))
-    for k in range(r - 1, -1, -1):              # levels[k] fixes x_k; each is freed once read
-        parent, xi = levels.pop()
-        columns[k] = xi[node]
-        node = parent[node]
-    vecs = np.empty((2 * half - 1, r), dtype=columns.dtype)
-    vecs[half - 1:] = columns.T
+        ends = np.cumsum(width)
+        if not ends[-1]:                        # dead ends only
+            continue
+        if ends[-1] > ENUM_BLOCK and len(ends) > 1:     # runs of whole parents, the first on top
+            pieces, a = [], 0
+            while a < len(ends):
+                b = max(a + 1, int(np.searchsorted(ends, ends[a] - width[a] + ENUM_BLOCK, "right")))
+                pieces.append((i, sums[a:b], room[a:b], coords[a:b]))
+                a = b
+            stack += reversed(pieces)
+            continue
+        parent = np.repeat(np.arange(len(ends)), width)
+        xi = np.repeat(lo + width - ends, width) + np.arange(ends[-1])
+        lin = p[i] * xi + np.take(c, parent)
+        room = (np.take(cap, parent) - lin * lin) // p[i]
+        coords = np.take(coords, parent, axis=0)
+        coords[:, r - 1 - i] = xi               # y_i is x_(r-1-i)
+        if i:
+            sums = np.take(sums[:, :i], parent, axis=0) + np.multiply.outer(xi, upper[:i, i])
+            stack.append((i - 1, sums, room, coords))
+        else:
+            leaves.append((coords, (bound - room).astype(norm_type)))
+    # the narrowest signed type that holds every coordinate and -top - 1, so x -> -x is exact
+    top = max(max(-int(leaf.min()), int(leaf.max())) for leaf, _ in leaves)
+    half = sum(len(leaf) for leaf, _ in leaves)
+    vecs = np.empty((2 * half - 1, r), dtype=np.min_scalar_type(-top - 1))
+    norms = np.empty(2 * half - 1, dtype=norm_type)
+    at = half - 1
+    for k, (leaf, leaf_norms) in enumerate(leaves):     # each leaf block is freed once copied
+        vecs[at:at + len(leaf)], norms[at:at + len(leaf)], leaves[k] = leaf, leaf_norms, None
+        at += len(leaf)
     # x -> -x reverses lexicographic order
     np.negative(vecs[:half - 1:-1], out=vecs[:half - 1])
-    norms = np.concatenate((bound - room[:0:-1], bound - room))
+    norms[:half - 1] = norms[:half - 1:-1]
     vecs.setflags(write=False)
     norms.setflags(write=False)
     return vecs, norms
@@ -294,18 +316,20 @@ def short_vectors(lattice: LatticeGram, bound: int):
     leave that type must widen it first (`lattice_theta_coefficients` tallies
     in int64, `LatticeGram.norm` in Python integers).
 
-    The tree of partial vectors is expanded one coordinate level at a time over
-    the whole frontier, in exact integers only (`_enumerate`, which refuses a
-    lattice whose integers could leave int64), so every leaf is a short vector
-    and none is missed.  It runs over y = x reversed, so it branches on x_0
-    first and the frontier, expanded in increasing order under each parent,
-    stays in lexicographic order.  The tree holds only 0 and the vectors whose
+    The tree of partial vectors is walked depth first in blocks of at most
+    ENUM_BLOCK nodes (more only as the children of one parent), in exact
+    integers only (`_enumerate`, which refuses a lattice whose integers could
+    leave int64), so every leaf is a short vector and none is missed.  It runs over y = x reversed, so it branches on x_0
+    first, and each block's children, in increasing order under each parent,
+    stay in lexicographic order.  The tree holds only 0 and the vectors whose
     first nonzero coordinate is positive; the rest are their negatives, in
     reverse order.  The exact norms are cached beside the rows by `_enumerate`.
     """
     return _enumerate(lattice, bound)[0]
 
 
+# children one block of the short-vector walk may have before it is split at parents
+ENUM_BLOCK = 1 << 15
 # codes per bincount pass, rounded to whole vectors of the first class's positive half
 TALLY_CHUNK = 1 << 16
 # tuples of nonzero vectors one call may cover, counted over the full classes although
@@ -379,11 +403,16 @@ def lattice_theta_coefficients(lattice: LatticeGram, genus: int, trace_bound: in
         code = trace_bound * sum(weights) + sum(digits(rows(combo[i]), combo[j], i, j, w)
                                                 for (i, j), w in zip(pairs, weights) if i)
         step = max(1, TALLY_CHUNK // math.prod(shape[1:]))
-        counts = 0
+        buffer = np.empty([min(step, shape[0])] + shape[1:], dtype=np.int64)    # filled by every pass
+        counts = np.zeros(radix ** len(pairs), dtype=np.int64)
         for start in range(0, shape[0], step):
-            chunk = code + sum(digits(rows(combo[0])[start:start + step], combo[j], 0, j, w)
-                               for (i, j), w in zip(pairs, weights) if not i)
-            counts = counts + np.bincount(np.ravel(chunk), minlength=radix ** len(pairs))
+            left = rows(combo[0])[start:start + step]
+            chunk = buffer[:len(left)]
+            np.copyto(chunk, code)
+            for (i, j), w in zip(pairs, weights):
+                if not i:
+                    chunk += digits(left, combo[j], 0, j, w)
+            counts += np.bincount(chunk.ravel(), minlength=len(counts))
         # x_k -> -x_k reflects the digit of every pair holding k; s and -s give the same code
         cube = counts.reshape((radix,) * len(pairs))
         counts = 2 * sum(np.flip(cube, [p for p, (i, j) in enumerate(pairs) if signs[i] != signs[j]])

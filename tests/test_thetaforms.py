@@ -294,8 +294,8 @@ def even_grams(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(gram=even_grams(), bound=st.integers(0, 8))
-def test_short_vectors_match_box_enumeration(gram, bound):
+@given(gram=even_grams(), bound=st.integers(0, 8), block=st.sampled_from([1, 7]))
+def test_short_vectors_match_box_enumeration(gram, bound, block):
     lattice = LatticeGram("random", len(gram), gram.tolist())
     # |x_i| <= sqrt(bound * (G^-1)_ii) on the ellipsoid; the box is in lex order
     half = np.floor(np.sqrt(bound * np.diag(np.linalg.inv(gram))) + 1).astype(int)
@@ -310,8 +310,33 @@ def test_short_vectors_match_box_enumeration(gram, bound):
     # the tree enumerates one sign: the rest is the mirror image, about 0 in the middle
     assert np.array_equal(got[::-1], -got) and not got[len(got) // 2].any()
     cached, got_norms = thetaforms._enumerate(lattice, bound)
-    assert np.array_equal(cached, got) and got_norms.dtype == np.int64 and not got_norms.flags.writeable
+    # the norms in the narrowest signed type that holds -bound - 1
+    assert np.array_equal(cached, got) and got_norms.dtype == np.min_scalar_type(-bound - 1)
+    assert not got_norms.flags.writeable
     assert got_norms.tolist() == [lattice.norm(x) for x in got.tolist()]
+    # blocks split at parent boundaries leave values, order and types alone
+    with mock.patch.object(thetaforms, "ENUM_BLOCK", block):
+        split, split_norms = thetaforms._enumerate.__wrapped__(lattice, bound)
+    assert split.dtype == got.dtype and np.array_equal(split, expected)
+    assert split_norms.dtype == got_norms.dtype and np.array_equal(split_norms, got_norms)
+
+
+@pytest.mark.parametrize("block", [1, 7])
+@pytest.mark.parametrize("name, bound", [("e8", 10), ("e8e8", 4), ("e16", 4)])
+def test_enumeration_blocks_split_at_parent_boundaries(name, bound, block):
+    # against the default blocks.  Split pieces that are not first start with nodes whose
+    # range goes below 0 (clamping them too loses vectors), and in E16 some split pieces
+    # hold only dead ends, so their next level is empty and is skipped
+    lattice = named_lattice(name)
+    vecs, norms = thetaforms._enumerate(lattice, bound)
+    with mock.patch.object(thetaforms, "ENUM_BLOCK", block):
+        split, split_norms = thetaforms._enumerate.__wrapped__(lattice, bound)
+    assert split.dtype == vecs.dtype == np.int8 and np.array_equal(split, vecs)
+    assert split_norms.dtype == norms.dtype == np.int8 and np.array_equal(split_norms, norms)
+    assert not split.flags.writeable and not split_norms.flags.writeable
+    # 240 sigma_3(n) vectors of norm 2n in E8, 480 sigma_7(n) in rank 16
+    shells = {"e8": [1, 240, 2160, 6720, 17520, 30240]}.get(name, [1, 480, 61920])
+    assert np.bincount(split_norms)[::2].tolist() == shells
 
 
 def _tuple_tally(lattice, genus, trace_bound):
@@ -435,8 +460,9 @@ def test_short_vectors_take_the_narrowest_type_and_norm_stays_exact():
     for top, dtype in ((100, np.int8), (127, np.int8), (128, np.int16), (200, np.int16)):
         vecs, norms = thetaforms._enumerate(line, 2 * top * top)
         assert vecs.dtype == dtype and vecs.ravel().tolist() == list(range(-top, top + 1))
-        # the narrow row (top) has its exact norm: arithmetic in int8 would read 32 at top = 100
-        assert norms.dtype == np.int64
+        # the narrow row (top) has its exact norm: arithmetic in int8 would read 32 at top = 100;
+        # the norms take the narrowest type that holds -bound - 1 (int32 at top = 200, norm 80000)
+        assert norms.dtype == np.min_scalar_type(-2 * top * top - 1)
         assert line.norm(vecs[-1]) == line.norm(vecs[-1].tolist()) == norms[-1] == 2 * top * top
 
 
