@@ -132,6 +132,44 @@ def test_cached_theta_box_is_read_only():
         phases[0] = 0
 
 
+def test_characteristics_sharing_s1_share_one_box_of_terms():
+    # exp(pi i/4 t(d) tau d) depends on s1, the truncation and tau only: one einsum per s1
+    tau = SiegelPoint(3, THETA_BOX_POINTS[3] + 0.01)
+    trunc = TruncationParams(radius=5, target=1e-6)
+    chars = [c for c in even_characteristics(3) if c.s1 == (1, 0, 1)]
+    assert len(chars) == 4
+    with mock.patch.object(np, "einsum", wraps=np.einsum) as einsum:
+        values = [theta_constant_with_tail(char, tau, trunc) for char in chars]
+    assert einsum.call_count == 1
+    assert values == [_inline_box_theta(char, tau, trunc) for char in chars]
+    terms, tail = thetaforms._theta_terms((1, 0, 1), trunc, tau.tau.tobytes())
+    assert not terms.flags.writeable and tail == values[0][1]
+
+
+def test_every_call_past_its_target_raises():
+    tau = SiegelPoint(2, THETA_BOX_POINTS[2])
+    char = even_characteristics(2)[0]
+    loose, strict = TruncationParams(radius=2, target=1.0), TruncationParams(radius=2, target=1e-12)
+    theta_constant(char, tau, loose)
+    for _ in range(2):       # nothing is cached by a raising call, so the second raises too
+        with pytest.raises(TruncationError):
+            theta_constant(char, tau, strict)
+    # the terms cached under the loose target do not serve the strict one
+    assert theta_constant(char, tau, loose) == _inline_box_theta(char, tau, loose)[0]
+
+
+def test_a_point_one_ulp_away_gets_its_own_terms():
+    trunc = TruncationParams(radius=8, target=1e-6)
+    near = THETA_BOX_POINTS[2].copy()
+    near[0, 0] = complex(near[0, 0].real, np.nextafter(near[0, 0].imag, 2.0))
+    tau, moved = SiegelPoint(2, THETA_BOX_POINTS[2]), SiegelPoint(2, near)
+    char = even_characteristics(2)[4]
+    theta_constant(char, tau, trunc)
+    misses = thetaforms._theta_terms.cache_info().misses
+    assert theta_constant_with_tail(char, moved, trunc) == _inline_box_theta(char, moved, trunc)
+    assert thetaforms._theta_terms.cache_info().misses == misses + 1
+
+
 def test_truncation_certificate():
     tau = SiegelPoint(1, np.array([[0.6j]]))
     char = ThetaCharacteristic.from_doubled((0,), (0,))
@@ -212,6 +250,14 @@ def test_lattice_gram_refuses_rank_below_1():
     for rank in (0, -1):
         with pytest.raises(ValueError, match="rank must be at least 1"):
             LatticeGram("empty", rank, ())
+
+
+def test_lattice_norm_refuses_a_vector_of_the_wrong_length():
+    e8 = named_lattice("e8")
+    assert e8.norm([1, 0, 0, 0, 0, 0, 0, 0]) == 2
+    for x in ([1, 0, 0], [1] + [0] * 9, []):
+        with pytest.raises(ValueError, match="needs 8 coordinates"):
+            e8.norm(x)
 
 
 # sha256 of json.dumps(lattice.gram), recorded from the per-entry loop constructions
@@ -337,6 +383,69 @@ def test_enumeration_blocks_split_at_parent_boundaries(name, bound, block):
     # 240 sigma_3(n) vectors of norm 2n in E8, 480 sigma_7(n) in rank 16
     shells = {"e8": [1, 240, 2160, 6720, 17520, 30240]}.get(name, [1, 480, 61920])
     assert np.bincount(split_norms)[::2].tolist() == shells
+
+
+def _unsplit_walk(lattice, bound):
+    """`_enumerate` with the orthogonal-sum path switched off: the Fincke-Pohst walk alone."""
+    with mock.patch.object(thetaforms, "_orthogonal_split", return_value=None):
+        return thetaforms._enumerate.__wrapped__(lattice, bound)
+
+
+def _block_diagonal(name, *blocks):
+    gram = np.zeros((sum(len(b) for b in blocks),) * 2, dtype=np.int64)
+    at = 0
+    for block in blocks:
+        gram[at:at + len(block), at:at + len(block)] = block
+        at += len(block)
+    return LatticeGram(name, len(gram), gram.tolist())
+
+
+def _assert_same_table(got, expected):
+    (vecs, norms), (want, want_norms) = got, expected
+    assert vecs.dtype == want.dtype and vecs.shape == want.shape and np.array_equal(vecs, want)
+    assert norms.dtype == want_norms.dtype and np.array_equal(norms, want_norms)
+    assert not vecs.flags.writeable and not norms.flags.writeable
+
+
+@pytest.mark.parametrize("block", [1, 7, thetaforms.ENUM_BLOCK])
+def test_orthogonal_sum_matches_the_unsplit_walk_on_e8e8(block):
+    lattice = named_lattice("e8e8")
+    assert thetaforms._orthogonal_split(lattice.gram) == 8
+    for bound in range(7):
+        with mock.patch.object(thetaforms, "ENUM_BLOCK", block):
+            got = thetaforms._enumerate.__wrapped__(lattice, bound)
+        _assert_same_table(got, _unsplit_walk(lattice, bound))
+    # D16+ is indecomposable and keeps the walk
+    assert thetaforms._orthogonal_split(named_lattice("e16").gram) is None
+
+
+@pytest.mark.parametrize("block", [1, 7, thetaforms.ENUM_BLOCK])
+def test_orthogonal_sum_of_three_summands_recurses(block):
+    # named per block, so that no other case has cached its summands
+    lattice = _block_diagonal(f"A2+(4)+A3 at block {block}", _cartan_a(2), [[4]], _cartan_a(3))
+    for bound in range(9):
+        with mock.patch.object(thetaforms, "ENUM_BLOCK", block), \
+                mock.patch.object(thetaforms, "_orthogonal_sum", wraps=thetaforms._orthogonal_sum) as split:
+            got = thetaforms._enumerate.__wrapped__(lattice, bound)
+        # A2 + ((4) + A3), and the second summand once more
+        assert [call.args[1] for call in split.call_args_list] == [2, 1]
+        _assert_same_table(got, _unsplit_walk(lattice, bound))
+
+
+@pytest.mark.parametrize("block", [1, 7, thetaforms.ENUM_BLOCK])
+def test_orthogonal_sum_of_summands_with_different_row_types(block):
+    # (2) holds coordinates up to 128 at bound 2 * 128^2, so its rows are int16; 1024 A2 holds
+    # int8 rows there (coordinates up to 4); the sum's rows take int16 and its norms int32
+    bound = 2 * 128 ** 2
+    line, wide_a2 = [[2]], (1024 * np.array(_cartan_a(2))).tolist()
+    assert short_vectors(LatticeGram("line", 1, line), bound).dtype == np.int16
+    assert short_vectors(LatticeGram("1024 A2", 2, wide_a2), bound).dtype == np.int8
+    for blocks in ((line, wide_a2), (wide_a2, line)):
+        lattice = _block_diagonal("line+A2", *blocks)
+        with mock.patch.object(thetaforms, "ENUM_BLOCK", block):
+            got = thetaforms._enumerate.__wrapped__(lattice, bound)
+        assert got[0].dtype == np.int16 and got[1].dtype == np.int32
+        _assert_same_table(got, _unsplit_walk(lattice, bound))
 
 
 def _tuple_tally(lattice, genus, trace_bound):
