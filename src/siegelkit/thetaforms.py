@@ -10,23 +10,26 @@ they are computed once per point and s1 and shared by every s2: the 36 even
 characteristics of degree 3 take 8 einsum passes, the 10 of degree 2 take 4.
 
 Lattice coefficients are exact integers.  Short vectors come from a
-Fincke-Pohst enumeration decided in int64 alone: each node carries integer
-centre sums and an integer room, both read off the pivot rows of one
-fraction-free symmetric elimination of the Gram matrix
+Fincke-Pohst enumeration decided in fixed-width integers alone: each node
+carries integer centre sums and an integer room, both read off the pivot rows
+of one fraction-free symmetric elimination of the Gram matrix
 (`exact.symmetric_pivots`), and each level's range is an integer square root
 and two floor divisions.  A lattice whose integers could leave int64 is
-refused.  The tree is walked depth first in numpy blocks of at most ENUM_BLOCK
+refused; the same bound picks the walk's working type, the narrowest of int16,
+int32 and int64 that holds every value it computes (int16 for the named
+lattices).  The tree is walked depth first in numpy blocks of at most ENUM_BLOCK
 nodes (more only as the children of one parent), each holding its fixed
 coordinates, and covers only the half of the set whose first nonzero coordinate
 is positive (and 0); the other half is its negative.  The cache is the memory
 peak, so it keeps the vectors and their exact norms in the narrowest signed
 types that hold every coordinate and the bound: a rank-16 table at bound 6 has
 1,112,641 rows of 16 coordinates of at most 28 in absolute value, about 19 MB
-in int8 against 151 MB in int64, and the walk holds about 11 MB more.
+in int8 against 151 MB in int64, and the walk holds about 10 MB more.  Class
+sizes are counted on the narrow norms, never widened.
 An orthogonal sum diag(A, B) is not walked: its table is the product of the
 summands' cached tables, rows (u, v) with u outer, filled in place; E8+E8 at
-bound 6 is 9,121 E8 rows squared and cut at the bound, about 25 ms against
-about 130 ms for the walk.  Arithmetic on them is done in int64.
+bound 6 is 9,121 E8 rows squared and cut at the bound, about 12 ms against
+about 55 ms for the walk.  Arithmetic on them is done in int64.
 One tally kernel covers genus-g tuples of nonzero vectors (at most
 TALLY_BUDGET = 10^9, counted over the full classes) by a bincount of
 mixed-radix codes of their inner products.  It tallies only tuples from the
@@ -137,7 +140,7 @@ def theta_constant_with_tail(char: ThetaCharacteristic, tau: SiegelPoint,
     if char.g != tau.g:
         raise ValueError("characteristic and point have different degrees")
     terms, tail = _theta_terms(char.s1, trunc, tau.tau.tobytes())
-    return complex(np.sum(terms * _theta_box(char, trunc.radius)[1])), tail
+    return complex(np.sum(terms * _theta_phases(char, trunc.radius))), tail
 
 
 @lru_cache(maxsize=8)
@@ -153,22 +156,29 @@ def _theta_terms(s1: tuple, trunc: TruncationParams, tau_bytes: bytes):
         raise TruncationError(
             f"tail estimate {tail:.3e} exceeds target {trunc.target:.3e}; increase the radius"
         )
-    d = _theta_box(ThetaCharacteristic(g, s1, (0,) * g), trunc.radius)[0]
+    d = _theta_box(s1, trunc.radius)
     terms = np.exp(1j * math.pi / 4 * np.einsum("ni,ij,nj->n", d, tau.tau, d))
     terms.flags.writeable = False
     return terms, tail
 
 
-@lru_cache(maxsize=64)
-def _theta_box(char: ThetaCharacteristic, r: int):
-    """The box of d = 2n + s1 in its summation order and the phases i^(t(d) s2), read-only;
-    d is int8 up to r = 63, which einsum casts to complex128 exactly."""
-    axes = [np.arange(-2 * r - b, 2 * r + b + 1, 2) for b in char.s1]
+@lru_cache(maxsize=16)
+def _theta_box(s1: tuple, r: int):
+    """The box of d = 2n + s1 in its summation order, read-only, shared by every s2; int8 up to
+    r = 63, which einsum casts to complex128 exactly."""
+    axes = [np.arange(-2 * r - b, 2 * r + b + 1, 2) for b in s1]
     d = np.stack([grid.ravel() for grid in np.meshgrid(*axes, indexing="ij")], axis=1)
-    phases = np.array([1, 1j, -1, -1j])[d @ np.array(char.s2) % 4]
     d = d.astype(np.min_scalar_type(-2 * r - 2))
-    d.flags.writeable = phases.flags.writeable = False
-    return d, phases
+    d.flags.writeable = False
+    return d
+
+
+@lru_cache(maxsize=64)
+def _theta_phases(char: ThetaCharacteristic, r: int):
+    """The phases i^(t(d) s2) over the box of char.s1, read-only; t(d) s2 is taken in int64."""
+    phases = np.array([1, 1j, -1, -1j])[_theta_box(char.s1, r) @ np.array(char.s2) % 4]
+    phases.flags.writeable = False
+    return phases
 
 
 # --- even unimodular lattices -------------------------------------------------
@@ -250,11 +260,13 @@ def _enumerate(lattice: LatticeGram, bound: int):
     A node about to fix y_i holds C_k (k < i) and room = p_i (bound - the terms k > i), an
     integer: those terms form a Schur complement of denominator p_i.  y_i is allowed iff
     L_i^2 <= T = p_(i-1) room, a range of floor divisions by p_i around t = isqrt(T); the
-    child's room is (T - L_i^2) // p_i, exactly, and a leaf's norm is bound - room.  In int64:
+    child's room is (T - L_i^2) // p_i, exactly, and a leaf's norm is bound - room.  Bounds:
     T <= p_i p_(i-1) bound, and a fixed y_k has L_k^2 <= p_k p_(k-1) bound, so |y_k| <= Y_k =
     (isqrt(p_k p_(k-1) bound) + M_k) // p_k with M_k = sum_{j>k} |row_k[j - k]| Y_j, which bounds
-    every partial C_k.  ValueError unless each p_k p_(k-1) bound, M_k and pivot-row entry is
-    below 2^62, so that a sum of two stays below the int64 limit 2^63.
+    every partial C_k.  With peak the largest of each p_k p_(k-1) bound, M_k and pivot-row entry,
+    every value the walk computes (C_k, room, T, t, (t + 1)^2, t +- C_k, p_i y_i, L_i) is within
+    2 peak + 2 in absolute value, and the walk works in the narrowest of int16, int32 and int64
+    that holds it.  ValueError unless peak is below 2^62, so that int64 always does.
 
     The tree is walked depth first in blocks of nodes of one level; a block with more than
     ENUM_BLOCK children is split into runs of whole parents, the first expanded first, so the
@@ -277,17 +289,20 @@ def _enumerate(lattice: LatticeGram, bound: int):
     split = _orthogonal_split(lattice.gram)     # a summand's integers pass the guard above
     if split:
         return _orthogonal_sum(lattice, split, bound)
-    upper = np.array([[0] * k + row for k, row in enumerate(rows)], dtype=np.int64)
+    # every working value is within 2 peak + 2 (int16 for the named lattices), and below the
+    # guard's 2^62 within peak + 2 isqrt(peak) + 2, which int64 holds
+    work = next((t for t in (np.int16, np.int32) if 2 * peak + 2 <= np.iinfo(t).max), np.int64)
+    upper = np.array([[0] * k + row for k, row in enumerate(rows)], dtype=work)
     # a block of level i: centre sums C_k (k <= i), room, and rows of the fixed coordinates,
     # zero past them, in the narrowest signed type that holds every -Y_k - 1
-    stack = [(r - 1, np.zeros((1, r), dtype=np.int64), np.array([p[-1] * bound], dtype=np.int64),
+    stack = [(r - 1, np.zeros((1, r), dtype=work), np.array([p[-1] * bound], dtype=work),
               np.zeros((1, r), dtype=np.min_scalar_type(-max(ymax) - 1)))]
     norm_type = np.min_scalar_type(-bound - 1)
     leaves = []                                 # (coordinates, norms) per leaf block, in order
     while stack:
         i, sums, room, coords = stack.pop()
         c, cap = sums[:, i], prev[i] * room     # cap is T
-        t = np.sqrt(cap).astype(np.int64)       # isqrt: a float sqrt, then one integer step each way
+        t = np.sqrt(cap, dtype=float).astype(work)  # isqrt: a float sqrt, then one integer step each way
         t -= t * t > cap
         t += (t + 1) * (t + 1) <= cap
         lo, hi = -((t + c) // p[i]), (t - c) // p[i]
@@ -295,7 +310,7 @@ def _enumerate(lattice: LatticeGram, bound: int):
         # start at 0, so the tree holds 0 and the vectors whose first nonzero coordinate is positive
         if not coords[0].any():
             lo[0] = max(lo[0], 0)
-        width = np.maximum(hi - lo + 1, 0)
+        width = np.maximum(hi - lo + 1, 0, dtype=np.intp)
         ends = np.cumsum(width)
         if not ends[-1]:                        # dead ends only
             continue
@@ -308,7 +323,7 @@ def _enumerate(lattice: LatticeGram, bound: int):
             stack += reversed(pieces)
             continue
         parent = np.repeat(np.arange(len(ends)), width)
-        xi = np.repeat(lo + width - ends, width) + np.arange(ends[-1])
+        xi = (np.repeat(lo + width - ends, width) + np.arange(ends[-1])).astype(work)
         lin = p[i] * xi + np.take(c, parent)
         room = (np.take(cap, parent) - lin * lin) // p[i]
         coords = np.take(coords, parent, axis=0)
@@ -439,7 +454,8 @@ def lattice_theta_coefficients(lattice: LatticeGram, genus: int, trace_bound: in
     bound = 2 * trace_bound
     vecs = short_vectors(lattice, bound)
     vec_norms = _enumerate(lattice, bound)[1]     # exact, cached beside vecs by that call
-    sizes = np.bincount(vec_norms)
+    # counted in place: a bincount would first widen the norms to intp (8.9 MB at rank 16, bound 6)
+    sizes = np.array([np.count_nonzero(vec_norms == n) for n in range(bound + 1)])
     if genus == 1:
         tally = {(n,): int(sizes[n]) for n in np.flatnonzero(sizes).tolist()}
         return FourierExpansion(1, 1, lattice.rank // 2, tally, trace_bound=bound)

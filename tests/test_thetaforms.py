@@ -2,6 +2,7 @@ import cmath
 import hashlib
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -119,13 +120,13 @@ def test_cached_theta_box_is_bit_identical_to_the_inline_box(g, radius):
     for char in even_characteristics(g):
         assert theta_constant_with_tail(char, tau, trunc) == _inline_box_theta(char, tau, trunc)
         # the cached box is int8 up to radius 63 and int16 beyond
-        assert thetaforms._theta_box(char, radius)[0].dtype == (np.int8 if radius <= 63 else np.int16)
+        assert thetaforms._theta_box(char.s1, radius).dtype == (np.int8 if radius <= 63 else np.int16)
 
 
 def test_cached_theta_box_is_read_only():
     char = even_characteristics(2)[3]
     theta_constant(char, SiegelPoint(2, THETA_BOX_POINTS[2]), TruncationParams(radius=8, target=1e-6))
-    d, phases = thetaforms._theta_box(char, 8)
+    d, phases = thetaforms._theta_box(char.s1, 8), thetaforms._theta_phases(char, 8)
     with pytest.raises(ValueError):
         d[0, 0] = 0
     with pytest.raises(ValueError):
@@ -546,6 +547,43 @@ def test_short_vectors_refuse_past_int64():
         short_vectors(sheared_a2(2 ** 61), 6)
 
 
+def _line(a):
+    return LatticeGram("line", 1, ((2 * a,),))
+
+
+def _sheared_a2(m):
+    # A2 sheared by y0 -> y0 + m y1: pivots 2 and 3, centre sums up to 4m - 2, the peak at bound 6
+    return LatticeGram("A2 sheared", 2, ((2 * m * m - 2 * m + 2, 2 * m - 1), (2 * m - 1, 2)))
+
+
+# (lattice, bound, working type): 2 peak + 2 is 4 bound + 2 for the line G = (2) and 8m - 2 for
+# the sheared A2 at bound 6, here just below and just above 2^15 and 2^31; in the last two the
+# peak 2 bound itself is just below 2^15 and 2^31, so a type chosen by the peak alone would wrap
+# (t + 1)^2, which at 2^15 lets in x = +-91 of norm 16562
+WORK_TYPE_CASES = [
+    (_line(1), 8191, np.int16), (_line(1), 8192, np.int32),
+    (_line(1), 2 ** 29 - 1, np.int32), (_line(1), 2 ** 29, np.int64),
+    (_sheared_a2(4096), 6, np.int16), (_sheared_a2(4097), 6, np.int32),
+    (_sheared_a2(2 ** 28), 6, np.int32), (_sheared_a2(2 ** 28 + 1), 6, np.int64),
+    (_line(1), 16383, np.int32), (_line(1), 2 ** 30 - 1, np.int64),
+]
+
+
+@pytest.mark.parametrize("lattice, bound, work", WORK_TYPE_CASES)
+def test_walk_works_in_the_narrowest_type_its_guard_allows(lattice, bound, work):
+    # the working type is that of T = p_(i-1) room, the argument of the square-root seed
+    with mock.patch.object(np, "sqrt", wraps=np.sqrt) as sqrt:
+        vecs, norms = thetaforms._enumerate.__wrapped__(lattice, bound)
+    assert {call.args[0].dtype for call in sqrt.call_args_list} == {np.dtype(work)}
+    assert norms.tolist() == [lattice.norm(x) for x in vecs.tolist()]
+    if lattice.rank == 1:           # every x with 2 x^2 <= bound, the top one on it at 2^k
+        top = math.isqrt(bound // 2)
+        assert vecs.ravel().tolist() == list(range(-top, top + 1))
+    else:
+        assert np.bincount(norms).tolist() == [1, 0, 6, 0, 0, 0, 6]
+        assert len({tuple(x) for x in vecs.tolist()}) == len(vecs)
+
+
 def test_rank16_shells_at_bound_6():
     # 480 sigma_7(n) vectors of norm 2n in an even unimodular rank-16 lattice
     for name in ("e8e8", "e16"):
@@ -583,6 +621,20 @@ def test_lattice_theta_coefficients():
     assert f.coefficient(HalfIntegralMatrix(1, ((2,),))) == 240
     assert f.coefficient(HalfIntegralMatrix(1, ((4,),))) == 2160
     assert f.coefficient(HalfIntegralMatrix(1, ((6,),))) == 6720
+
+
+def test_rank16_class_sizes_are_counted_without_widening_the_norms():
+    e16 = named_lattice("e16")
+    lattice_theta_coefficients(e16, 1, 3)          # the table and its int8 norms are cached
+    tracemalloc.start()
+    try:
+        f = lattice_theta_coefficients(e16, 1, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # widening the 1,112,641 norms to intp would take 8.9 MB
+    assert peak < 2 * 2 ** 20
+    assert [f.coefficient(HalfIntegralMatrix(1, ((2 * n,),))) for n in range(4)] == [1, 480, 61920, 1050240]
 
 
 def test_rank16_genus2_tables_agree():
