@@ -31,11 +31,12 @@ summands' cached tables, rows (u, v) with u outer, filled in place; E8+E8 at
 bound 6 is 9,121 E8 rows squared and cut at the bound, about 12 ms against
 about 55 ms for the walk.  Arithmetic on them is done in int64.
 One tally kernel covers genus-g tuples of nonzero vectors (at most
-TALLY_BUDGET = 10^9, counted over the full classes) by a bincount of
-mixed-radix codes of their inner products.  It tallies only tuples from the
-positive halves of the norm classes and unfolds the signs on the histogram,
-where flipping x_k reflects the digits of the pairs holding k.  A coefficient
-with a zero on the diagonal is read from the table one genus down.
+TALLY_BUDGET = 10^9, over every ordering of the full classes) by a bincount of
+int16 mixed-radix codes of their inner products.  Each multiset of norm classes
+is tallied once, over the positive halves of its sorted combo, with one product
+block per class and chunk; the signs are unfolded on the histogram and other
+orderings read as transposes (E8 genus 3, trace 4: 51 ms; 157 ms per ordering
+in int64).  A coefficient with a_ii = 0 comes from the table one genus down.
 """
 
 import math
@@ -397,8 +398,8 @@ def short_vectors(lattice: LatticeGram, bound: int):
     """All integer coordinate vectors with t(x) G x <= bound (zero included),
     as a read-only array in lexicographic order.  Its dtype is the narrowest
     signed integer type that holds every coordinate, so arithmetic that could
-    leave that type must widen it first (`lattice_theta_coefficients` tallies
-    in int64, `LatticeGram.norm` in Python integers).
+    leave that type must widen it first (`lattice_theta_coefficients` takes its
+    products in int64, `LatticeGram.norm` in Python integers).
 
     The tree of partial vectors is walked depth first in blocks of at most
     ENUM_BLOCK nodes (more only as the children of one parent), in exact
@@ -418,8 +419,8 @@ def short_vectors(lattice: LatticeGram, bound: int):
 ENUM_BLOCK = 1 << 15
 # codes per bincount pass, rounded to whole vectors of the first class's positive half
 TALLY_CHUNK = 1 << 16
-# tuples of nonzero vectors one call may cover, counted over the full classes although
-# only the positive halves are tallied (E8 genus 3: 387,072,000 at trace 4, 4,907,520,000 at 5)
+# tuples of nonzero vectors one call may cover, counted over every ordering of the full classes although
+# only sorted combos' positive halves are tallied (E8 genus 3: 387,072,000 at trace 4, 4,907,520,000 at 5)
 TALLY_BUDGET = 10 ** 9
 
 
@@ -429,18 +430,21 @@ def lattice_theta_coefficients(lattice: LatticeGram, genus: int, trace_bound: in
     The support covers every half-integral A with Tr(2A) <= 2 * trace_bound;
     weight is rank/2 at level 1.  Genus 1 reads the class sizes.  If a_ii = 0,
     then x_i = 0 and row i of 2A is 0, so c(A) comes from the genus - 1 table.
-    Per tuple of nonzero norm classes (n_1..n_genus) with sum <= 2 * trace_bound,
-    only tuples from the positive halves of the classes are tallied: each pair
-    i < j gives one digit t(x_i) G x_j + trace_bound of a mixed-radix code, which
-    Cauchy-Schwarz keeps in 0..2 * trace_bound; the codes are filled by
-    broadcasting and counted by bincount, TALLY_CHUNK at a time.  The signs are
-    unfolded on the histogram: x_k -> -x_k reflects (np.flip) the digit of each
-    pair holding k, and s, -s give the same code, so the full counts are twice
-    the sum over the 2^(genus - 1) sign patterns with s_1 = +1.  Cost guards:
-    genus <= 3 and trace_bound <= 8; at rank 16, genus <= 2, trace_bound <= 4
-    (trace 5 would enumerate 46.5M vectors) and trace_bound <= 3 at genus 2
-    (trace 4 would hold 4,901,990,400 tuples); TALLY_BUDGET tuples of nonzero
-    vectors, counted over the full classes.
+    Each multiset of nonzero norm classes with sum <= 2 * trace_bound is tallied
+    once, as its sorted combo, over tuples from the positive halves of the
+    classes: each pair i < j gives one digit t(x_i) G x_j + trace_bound of a
+    mixed-radix code, in 0..2 * trace_bound by Cauchy-Schwarz.  The codes are
+    filled in int16 (the narrowest type that holds them) from one product block
+    per class and chunk, and counted by bincount, TALLY_CHUNK at a time.  The
+    signs are unfolded on the histogram: x_k -> -x_k reflects (np.flip) the digit
+    of each pair holding k, and s, -s give the same code, so the full counts are
+    twice the sum over the 2^(genus - 1) sign patterns with s_1 = +1.  Another
+    ordering, whose axis k is axis pos[k] of the sorted combo (a stable sort),
+    reads it through one np.transpose: its pair (i, j) is pair (pos[i], pos[j]).
+    Cost guards: genus <= 3 and trace_bound <= 8; at rank 16, genus <= 2,
+    trace_bound <= 4 (trace 5 would enumerate 46.5M vectors) and trace_bound <= 3
+    at genus 2 (trace 4 would hold 4,901,990,400 tuples); TALLY_BUDGET tuples of
+    nonzero vectors, counted over every ordering of the full classes.
     """
     if genus < 1:
         raise ValueError("genus must be >= 1")
@@ -475,35 +479,46 @@ def lattice_theta_coefficients(lattice: LatticeGram, genus: int, trace_bound: in
     pairs = list(combinations(range(genus), 2))
     radix = bound + 1
     weights = [radix ** (len(pairs) - 1 - p) for p in range(len(pairs))]
+    # the walk's rule: the narrowest of int16, int32 and int64 that holds every code (int16 under the guards)
+    code_type = next(t for t in (np.int16, np.int32, np.int64) if radix ** len(pairs) - 1 <= np.iinfo(t).max)
 
     @lru_cache(maxsize=None)
     def rows(n):                          # the positive half of the class of norm n
         half = len(vecs) // 2 + 1         # vecs[half:]: first nonzero coordinate positive
-        return vecs[half:][vec_norms[half:] == n].astype(np.int64)   # the tally works in int64
+        return vecs[half:][vec_norms[half:] == n].astype(np.int64)   # products are taken in int64
 
-    def digits(left, n, i, j, weight):    # weight * t(x_i) G x_j for x_j of norm n, on axes i and j
-        return weight * np.expand_dims(left @ gram_np @ rows(n).T, tuple(set(range(genus)) - {i, j}))
+    def spread(block, i, j):              # a block of t(x_i) G x_j on axes i and j of the tuple
+        return np.expand_dims(block, tuple(set(range(genus)) - {i, j}))
 
-    for combo in combos:
+    def unfolded(combo):                  # the full histogram of a sorted combo, one axis per pair
         shape = [int(sizes[n]) // 2 for n in combo]
-        # pairs within the later axes once; pairs with the first, per chunk
-        code = trace_bound * sum(weights) + sum(digits(rows(combo[i]), combo[j], i, j, w)
-                                                for (i, j), w in zip(pairs, weights) if i)
+        # pairs within the later axes once; pairs with the first, per chunk, one product per class
+        code = np.asarray(trace_bound * sum(weights) + sum(
+            w * spread(rows(combo[i]) @ gram_np @ rows(combo[j]).T, i, j)
+            for (i, j), w in zip(pairs, weights) if i), dtype=code_type)
         step = max(1, TALLY_CHUNK // math.prod(shape[1:]))
-        buffer = np.empty([min(step, shape[0])] + shape[1:], dtype=np.int64)    # filled by every pass
+        buffer = np.empty([min(step, shape[0])] + shape[1:], dtype=code_type)    # filled by every pass
         counts = np.zeros(radix ** len(pairs), dtype=np.int64)
         for start in range(0, shape[0], step):
-            left = rows(combo[0])[start:start + step]
+            left = rows(combo[0])[start:start + step] @ gram_np
+            products = {n: (left @ rows(n).T).astype(code_type) for n in set(combo[1:])}
             chunk = buffer[:len(left)]
             np.copyto(chunk, code)
             for (i, j), w in zip(pairs, weights):
                 if not i:
-                    chunk += digits(left, combo[j], 0, j, w)
+                    chunk += w * spread(products[combo[j]], 0, j)
             counts += np.bincount(chunk.ravel(), minlength=len(counts))
         # x_k -> -x_k reflects the digit of every pair holding k; s and -s give the same code
         cube = counts.reshape((radix,) * len(pairs))
-        counts = 2 * sum(np.flip(cube, [p for p, (i, j) in enumerate(pairs) if signs[i] != signs[j]])
-                         for signs in product((0,), *[(0, 1)] * (genus - 1))).ravel()
+        return 2 * sum(np.flip(cube, [p for p, (i, j) in enumerate(pairs) if signs[i] != signs[j]])
+                       for signs in product((0,), *[(0, 1)] * (genus - 1)))
+
+    cubes = {combo: unfolded(combo) for combo in combos if list(combo) == sorted(combo)}
+    for combo in combos:
+        pos = np.argsort(np.argsort(combo, kind="stable")).tolist()    # axis k is axis pos[k] of the sorted combo
+        # so pair (i, j) is pair (pos[i], pos[j]) of the sorted combo, taken in increasing order: t(x) G y = t(y) G x
+        counts = np.transpose(cubes[tuple(sorted(combo))],
+                              [pairs.index(tuple(sorted((pos[i], pos[j])))) for i, j in pairs]).ravel()
         for value in np.flatnonzero(counts).tolist():
             off = iter([value // w % radix - trace_bound for w in weights])
             key = tuple(combo[i] if i == j else next(off) for i in range(genus) for j in range(i, genus))

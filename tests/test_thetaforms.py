@@ -4,6 +4,7 @@ import json
 import math
 import tracemalloc
 from fractions import Fraction
+from itertools import combinations_with_replacement, permutations
 from unittest import mock
 
 import numpy as np
@@ -479,6 +480,43 @@ def test_tally_kernel_matches_tuple_enumeration(gram, genus, trace_bound, chunk)
     expected = _tuple_tally(lattice, genus, trace_bound).to_json()
     with mock.patch.object(thetaforms, "TALLY_CHUNK", chunk):
         assert lattice_theta_coefficients(lattice, genus, trace_bound).to_json() == expected
+
+
+# every genus-3 combo of an even lattice at trace <= 3 is (2, 2, 2), so the draws above cannot tell
+# an ordering's histogram from its sorted combo's; at trace 8 A2 has the classes 2, 6, 8 and 14 and
+# the line G = (2) the classes 2 and 8
+@pytest.mark.parametrize("chunk", [1, 7, thetaforms.TALLY_CHUNK])
+@pytest.mark.parametrize("gram", [((2, -1), (-1, 2)), ((2,),)], ids=["a2", "line"])
+def test_orderings_of_distinct_classes_match_tuple_enumeration(gram, chunk):
+    lattice = LatticeGram("orderings", len(gram), gram)
+    expected = _tuple_tally(lattice, 3, 8)
+    diagonals = {(key[0], key[3], key[5]) for key in expected.coeffs}
+    assert set(permutations((2, 2, 8))) <= diagonals
+    assert len(gram) == 1 or set(permutations((2, 6, 8))) <= diagonals
+    with mock.patch.object(thetaforms, "TALLY_CHUNK", chunk):
+        assert lattice_theta_coefficients(lattice, 3, 8).to_json() == expected.to_json()
+
+
+def test_tally_runs_once_per_multiset_in_int16():
+    bincount, code_types = np.bincount, []
+
+    def counted(codes, minlength=0):
+        code_types.append(codes.dtype)
+        return bincount(codes, minlength=minlength)
+
+    # the positive halves of the E8 classes of norm 2, 4, 6, 8 (240 sigma_3 shells)
+    halves = {2: 120, 4: 1080, 6: 3360, 8: 8760}
+    passes = 0
+    for genus in (2, 3):                  # the genus-3 call tallies genus 2 for its zero rows
+        for combo in combinations_with_replacement(sorted(halves), genus):
+            if sum(combo) <= 8:
+                step = max(1, thetaforms.TALLY_CHUNK // math.prod(halves[n] for n in combo[1:]))
+                passes += -(-halves[combo[0]] // step)
+    with mock.patch.object(thetaforms.np, "bincount", counted):
+        lattice_theta_coefficients(named_lattice("e8"), 3, 4)
+    # one pass set per ordering would take 577 passes: (4, 2, 2) alone takes 270
+    assert len(code_types) == passes == 178
+    assert set(code_types) == {np.dtype(np.int16)}
 
 
 # the A3 root lattice (det 4, 12 roots) in an unreduced basis; a float Fincke-Pohst
