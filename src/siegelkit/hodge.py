@@ -9,19 +9,30 @@ unitary W = [[I, -iI], [I, iI]] / sqrt(2) gives [F, conj F]^{-1} = W R^{-1} / sq
 so R^{-1} holds the H^{0,1}-components that the Higgs map needs, and the Weil
 operator is the real R t(J) R^{-1}.  The splitting V_C = F^1 + conj(F^1) is
 refused when ||R||_F ||R^{-1}||_F, an upper bound for its condition number
-(within a factor 2g), exceeds DECOMPOSITION_COND_LIMIT.
+(within a factor 2g), exceeds DECOMPOSITION_COND_LIMIT.  R = [[Re tau, Im tau],
+[I, 0]] is assembled by blocks in one array, and J, a signed permutation, is
+applied as a signed block swap, so t(J) R t(J) is exact and no product with J
+is formed; the real t(J) C then acts on the complex frame as one real product
+on its interleaved real and imaginary parts.  The metric against m directions
+is one contraction, Tr(t(X_k) Q conj(X_l G^{-1})), of the (P, g^4) point terms
+with the (g^4, m^2) direction terms.
 
 Both curvature claims are one computation, the Chern curvature
 Omega = -dbar(G^{-1} dG), on two bundles: the tangent bundle with the Hodge
 metric (its Ricci form is -tr Omega) and the Hodge bundle with its frame Gram
 matrix.  One central-difference stencil computes it.  Its offsets are integer
-vectors in units of the least step, deduplicated by one integer sort; its
-distinct points are evaluated in one kernel call, each checked like a base
-point, and the curvature check reads G(tau) from its zero offset.  A Richardson
-step-halving comparison guards against roundoff-dominated steps.
+vectors in units of the least step, deduplicated by one integer sort and built
+once per (m, step ratios) as read-only arrays, as is the coordinate basis per g;
+its distinct points are evaluated in one kernel call, each checked like a base
+point, and the curvature check reads G(tau) from its zero offset.  Each leg's
+matrix is factored once for all directions around it.  A Richardson
+step-halving comparison guards against roundoff-dominated steps, and the
+Einstein check measures its residuals on the Richardson extrapolation
+(4 X(h/2) - X(h)) / 3, free of the O(h^2) truncation error.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -48,21 +59,22 @@ CURVATURE_BOUND = 1e-3
 _LEGS = np.array([1, -1, 1j, -1j])
 _D_DZ = np.array([1, -1, -1j, 1j]) / 4
 _D_DZBAR = np.array([1, -1, 1j, -1j]) / 4
+# the signs of the blocks [[-D, C], [B, -A]] of t(J) R t(J), as (row block, 1, column block, 1)
+_BLOCK_SWAP_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0]).reshape(2, 1, 2, 1)
 
 
 class StepSizeError(ArithmeticError):
     """Raised when step halving shows a finite-difference step is unusable."""
 
 
-def _split_inverse(f):
-    # R = [Re F, Im F] and R^{-1}; ||R||_F ||R^{-1}||_F lies in [cond_2(R), 2g cond_2(R)], so the
-    # limit refuses every F whose condition number exceeds it (and a NaN, which fails the <=)
-    real = np.concatenate([f.real, f.imag], axis=-1)
+def _split_inverse(real):
+    # R^{-1} of R = [Re F, Im F], single or stacked; ||R||_F ||R^{-1}||_F lies in [cond_2(R), 2g cond_2(R)],
+    # so the limit refuses every F whose condition number exceeds it (and a NaN, which fails the <=)
     inv = np.linalg.inv(real)
-    cond = np.linalg.norm(real, axis=(-2, -1)) * np.linalg.norm(inv, axis=(-2, -1))
-    if not np.max(cond) <= DECOMPOSITION_COND_LIMIT:
+    frobenius = np.einsum("...ij,...ij->...", real, real) * np.einsum("...ij,...ij->...", inv, inv)
+    if not np.max(frobenius) <= DECOMPOSITION_COND_LIMIT**2:
         raise ValueError("F^1 and conj(F^1) do not split V_C (ill-conditioned)")
-    return real, inv
+    return inv
 
 
 @dataclass(frozen=True)
@@ -73,7 +85,8 @@ class HodgeStructureW1:
     F1: PeriodPoint
 
     def __post_init__(self):
-        _split_inverse(self.F1.basis)
+        f = self.F1.basis
+        _split_inverse(np.hstack([f.real, f.imag]))
 
     @classmethod
     def from_tau(cls, tau: SiegelPoint):
@@ -148,15 +161,23 @@ def _frame_grams(taus):
     is checked for Im tau > 0 and for a well-conditioned splitting V_C = F^1 + conj(F^1).
     """
     taus = np.asarray(taus, dtype=complex)
-    g = taus.shape[-1]
+    p, g = len(taus), taus.shape[-1]
     if np.min(np.linalg.eigvalsh(taus.imag)) <= 0:
         raise ValueError("Im(tau) must be positive definite at every point")
-    f = np.concatenate([taus, np.broadcast_to(np.eye(g), taus.shape)], axis=-2)
-    real, inv = _split_inverse(f)
-    j = j_matrix_float(g)
-    weil = real @ j.T @ inv
-    frame = np.concatenate([f, f.conj() @ ((inv[:, :g, :g] + 1j * inv[:, g:, :g]) / 2)], axis=-1)
-    return (weil @ frame).swapaxes(-1, -2) @ j @ frame.conj()
+    eye = np.eye(g)
+    real = np.zeros((p, 2 * g, 2 * g))                    # R = [[Re tau, Im tau], [I, 0]]
+    real[:, :g, :g], real[:, :g, g:], real[:, g:, :g] = taus.real, taus.imag, eye
+    inv = _split_inverse(real)
+    # t(C u) J conj(v) = t(u) t(t(J) C) conj(v), and t(J) C = t(J) R t(J) R^{-1} where J is a
+    # signed block swap: t(J) [[A, B], [C, D]] t(J) = [[-D, C], [B, -A]], exactly
+    swapped = real.reshape(p, 2, g, 2, g)[:, ::-1, :, ::-1] * _BLOCK_SWAP_SIGNS
+    j_weil = swapped.reshape(p, 2 * g, 2 * g) @ inv
+    b = (inv[:, :g, :g] + 1j * inv[:, g:, :g]) / 2
+    frame = np.empty((p, 2 * g, 2 * g), dtype=complex)   # [F, conj(F) B] = [[tau, conj(tau) B], [I, B]]
+    frame[:, :g, :g], frame[:, g:, :g], frame[:, :g, g:], frame[:, g:, g:] = taus, eye, taus.conj() @ b, b
+    # the real t(J) C acts on the interleaved real and imaginary parts of the frame: one real product
+    j_weil_frame = (j_weil @ frame.view(float)).view(complex)
+    return j_weil_frame.swapaxes(-1, -2) @ frame.conj()
 
 
 def _metric_stack(taus, dirs):
@@ -164,67 +185,91 @@ def _metric_stack(taus, dirs):
 
     Entry (k, l) sums the pairings of the Higgs images of an H-orthonormal
     frame F S of F^1 along X_k and X_l.  With G the Gram matrix of F and Q
-    that of conj(F) B, and S S* = G^{-1}, it is Tr(t(X_k) Q conj(X_l G^{-1})): the
-    entries of t(X_k) Q paired with those of the transpose of conj(X_l G^{-1}).
+    that of conj(F) B, and S S* = G^{-1}, it is Tr(t(X_k) Q conj(X_l G^{-1})):
+    the sum over (b, c, d, a) of Q_bc conj(G^{-1})_da against X_k[b, a] conj(X_l)[c, d],
+    one product of the (P, g^4) point terms with the (g^4, m^2) direction terms.
     """
     m, g = len(dirs), dirs.shape[-1]
     grams = _frame_grams(taus)
     frame = grams[:, :g, :g]
     frame_inv = np.linalg.inv((frame + frame.conj().swapaxes(-1, -2)) / 2)
-    left = (dirs.swapaxes(-1, -2) @ grams[:, None, g:, g:]).reshape(-1, m, g * g)
-    right = (dirs @ frame_inv[:, None]).conj().swapaxes(-1, -2).reshape(-1, m, g * g)
-    out = left @ right.swapaxes(-1, -2)
+    terms = np.einsum("pbc,pda->pbcda", grams[:, g:, g:], frame_inv.conj()).reshape(len(grams), -1)
+    out = (terms @ np.einsum("kba,lcd->bcdakl", dirs, dirs.conj()).reshape(-1, m * m)).reshape(-1, m, m)
     return (out + out.conj().swapaxes(-1, -2)) / 2
 
 
+def _read_only(array):
+    array.flags.writeable = False
+    return array
+
+
+@lru_cache(maxsize=8)
 def _basis_stack(g):
-    return np.array([x.X for x in tangent_basis(g)])
+    """The coordinate tangent directions (m, g, g), read-only and shared by every caller."""
+    return _read_only(np.array([x.X for x in tangent_basis(g)]))
+
+
+@lru_cache(maxsize=16)
+def _stencil_units(m, ratios):
+    """Distinct stencil offsets in units of the least step, read-only, and each row's index among them.
+
+    Per step ratio r the rows are the legs r a e_d, then r (a e_d + b e_c) around them (a, b in
+    _LEGS); they are sorted and deduplicated as integer vectors, real parts before imaginary.
+    """
+    legs = _LEGS[:, None] * np.eye(m)[:, None]               # (d, q, m): a e_d
+    around = legs[None, :, :, None] + legs[:, None, None]    # (c, d, q, p, m)
+    coords = np.concatenate([legs.reshape(-1, m), around.reshape(-1, m)])
+    coords = np.concatenate([coords.real, coords.imag], axis=1).astype(int)
+    units = np.multiply.outer(np.array(ratios), coords).reshape(-1, 2 * m)
+    order = np.lexsort(units.T[::-1])
+    units = units[order]
+    new = np.ones(len(units), dtype=bool)
+    new[1:] = (units[1:] != units[:-1]).any(axis=1)    # differs from the row before
+    index = np.empty_like(order)
+    index[order] = new.cumsum() - 1
+    return _read_only(units[new]), _read_only(index)
 
 
 def _stencil_layout(m, steps):
     """Distinct stencil offsets (real parts, then imaginary) and each row's index among them.
 
-    Per step s the rows are the legs s a e_d, then s (a e_d + b e_c) around them (a, b in _LEGS).
-    Steps are integer multiples of the least (h and h / 2 in every caller), so rows are sorted
-    and deduplicated as integer vectors in units of the least step.
+    Steps are integer multiples of the least (h and h / 2 in every caller); the layout in units
+    of the least step is built once per (m, step ratios) by _stencil_units.
     """
-    legs = _LEGS[:, None] * np.eye(m)[:, None]               # (d, q, m): a e_d
-    around = legs[None, :, :, None] + legs[:, None, None]    # (c, d, q, p, m)
-    coords = np.concatenate([legs.reshape(-1, m), around.reshape(-1, m)])
-    coords = np.hstack([coords.real, coords.imag]).astype(int)
     least = min(steps)
     ratios = np.rint(np.divide(steps, least)).astype(int)
     if np.any(least * ratios != steps):
         raise ValueError("steps must be integer multiples of the least step")
-    units = np.multiply.outer(ratios, coords).reshape(-1, 2 * m)
-    order = np.lexsort(units.T[::-1])
-    new = np.r_[True, np.any(np.diff(units[order], axis=0), axis=1)]   # differs from the row before
-    index = np.empty_like(order)
-    index[order] = np.cumsum(new) - 1
-    return least * units[order[new]], index
+    units, index = _stencil_units(m, tuple(ratios.tolist()))
+    return least * units, index
 
 
 def _chern_curvature(kernel, tau, dirs, steps):
     """G, and d_c G and Omega[c, d] = -dbar_d(G^{-1} d_c G) per step s, at tau for G = kernel.
 
     ``kernel`` maps points (P, g, g) to Hermitian (P, n, n).  G^{-1} d_c G is taken
-    at the legs tau + s a X_d from the legs s b X_c around each (a, b in _LEGS); the
-    distinct points of _stencil_layout are evaluated in one kernel call, G at their zero offset.
+    at the legs tau + s a X_d from the legs s b X_c around each (a, b in _LEGS), with one
+    factorization per leg for all c; the distinct points of _stencil_layout are evaluated in
+    one kernel call.  G is read at the point s (X_0 - X_0) around the leg s X_0: tau itself.
     """
     m, k = len(dirs), len(steps)
     offsets, index = _stencil_layout(m, steps)
-    steps = np.asarray(steps)
     values = kernel(tau.tau + np.einsum("uk,kab->uab", offsets[:, :m] + 1j * offsets[:, m:], dirs))
     n = values.shape[-1]
-    gram = values[np.flatnonzero(~offsets.any(axis=1))[0]]
     values = values[index].reshape(k, -1, n, n)
     at_legs = values[:, : 4 * m].reshape(k, m, 4, n, n)
     at_around = values[:, 4 * m:].reshape(k, m, m, 4, 4, n, n)
-    d_gram = np.einsum("sdqij,q,s->sdij", at_legs, _D_DZ, 1 / steps)
-    d_around = np.einsum("scdqpij,p,s->scdqij", at_around, _D_DZ, 1 / steps)
-    connection = np.linalg.solve(at_legs[:, None], d_around)
-    omega = -np.einsum("scdqij,q,s->scdij", connection, _D_DZBAR, 1 / steps)
-    return gram, d_gram, omega
+    scale = 1 / np.asarray(steps)[:, None]     # per step; Omega takes two differences, so scale^2
+    d_gram = np.einsum("sdqij,sq->sdij", at_legs, _D_DZ * scale)
+    d_around = np.einsum("scdqpij,p->sdqicj", at_around, _D_DZ).reshape(k, m, 4, n, m * n)
+    connection = np.linalg.solve(at_legs, d_around).reshape(k, m, 4, n, m, n)
+    omega = -np.einsum("sdqicj,sq->scdij", connection, _D_DZBAR * scale**2)
+    return at_around[0, 0, 0, 0, 1], d_gram, omega
+
+
+def _richardson(x):
+    """(4 X(h/2) - X(h)) / 3 from X(h) = x[0] and X(h/2) = x[1]: central differences lose their h^2 term."""
+    return (4 * x[1] - x[0]) / 3
 
 
 def _check_step(h):
@@ -245,13 +290,17 @@ def hodge_metric_matrix(tau: SiegelPoint):
 def kahler_einstein_check(tau_samples, h=1e-3):
     """Closedness of the Kaehler form and the Einstein constant, by differences.
 
-    With G the metric matrix on the coordinate directions, d(omega) comes from
-    d G at h and Ricci = -tr Omega at h and h/2.  Returns the worst d(omega)
-    residual, the per-sample Einstein constants (Ricci = -lambda * omega), the
-    worst Einstein residual, and the verdict "pass": all three within
+    With G the metric matrix on the coordinate directions, d G and Ricci =
+    -tr Omega are taken at h and h/2.  Returns the worst d(omega) residual, the
+    per-sample Einstein constants (Ricci = -lambda * omega) at h, the worst
+    Einstein residual, and the verdict "pass": all three within
     LAMBDA_SPREAD_BOUND (relative spread of the constants), DW_BOUND and
-    EINSTEIN_BOUND.  Raises StepSizeError when halving the step moves the
-    constants by more than the expected truncation behaviour allows.
+    EINSTEIN_BOUND.  Both residuals are measured on the Richardson combination
+    (4 X(h/2) - X(h)) / 3 of d G, Ricci and lambda, which cancels their O(h^2)
+    truncation error; at h alone that error grows as Im tau nears the boundary
+    and would fail true Kaehler-Einstein metrics.  Raises StepSizeError when
+    halving the step moves the constants by more than the expected truncation
+    behaviour allows.
     """
     _check_step(h)
     if not tau_samples:
@@ -263,14 +312,17 @@ def kahler_einstein_check(tau_samples, h=1e-3):
         dirs = _basis_stack(tau.g)
         _, d_gram, omega = _chern_curvature(lambda taus: _metric_stack(taus, dirs), tau, dirs, [h, h / 2])
         # d(omega) = 0 reduces to the symmetry of holomorphic derivatives
-        dw_residual = max(dw_residual, float(np.max(np.abs(d_gram[0] - d_gram[0].swapaxes(0, 1)))))
+        d_gram = _richardson(d_gram)
+        dw_residual = max(dw_residual, float(np.max(np.abs(d_gram - d_gram.swapaxes(0, 1)))))
         ric = -np.trace(omega, axis1=-2, axis2=-1)
         gmat = hodge_metric_matrix(tau)
-        lam, lam_half = np.trace(np.linalg.solve(gmat, ric), axis1=1, axis2=2).real / len(dirs)
+        lams = np.trace(np.linalg.solve(gmat, ric), axis1=1, axis2=2).real / len(dirs)
+        lam, lam_half = lams
         if abs(lam - lam_half) > 0.05 * max(abs(lam), 1e-12):
             raise StepSizeError("Richardson disagreement: step too small or too large")
         lambdas.append(float(lam))
-        einstein_residual = max(einstein_residual, float(np.max(np.abs(ric[0] - lam * gmat))))
+        einstein_residual = max(einstein_residual,
+                                float(np.max(np.abs(_richardson(ric) - _richardson(lams) * gmat))))
     spread = (max(lambdas) - min(lambdas)) / abs(lambdas[0])
     return {
         "lambda": lambdas,

@@ -158,6 +158,18 @@ def test_stencil_layout_matches_the_float_row_reference(m, halved, h):
     assert offsets[index].tobytes() == expected[expected_index].tobytes()
 
 
+def test_fixed_stencil_and_basis_arrays_are_built_once_and_read_only():
+    layout = hodge._stencil_units(3, (2, 1))
+    assert all(a is b for a, b in zip(layout, hodge._stencil_units(3, (2, 1))))
+    # the same ratios at another step share the integer layout
+    assert hodge._stencil_layout(3, [1e-3, 5e-4])[1] is hodge._stencil_layout(3, [2e-3, 1e-3])[1]
+    basis = hodge._basis_stack(2)
+    assert basis is hodge._basis_stack(2)
+    for array in (*layout, basis):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
 def test_stencil_layout_refuses_steps_off_the_least_step():
     with pytest.raises(ValueError, match="integer multiples"):
         hodge._stencil_layout(2, [1e-3, 3e-4])
@@ -236,6 +248,17 @@ def test_einstein_constant_is_g_plus_1(g):
     report = kahler_einstein_check(samples)
     for lam in report["lambda"]:
         assert abs(lam - (g + 1)) <= 1e-3 * (g + 1)
+    assert report["pass"] is True
+
+
+def test_einstein_check_passes_over_the_cli_seed_one_points():
+    # i I and seed 1's first 199 draws, as einstein-check --points 200 takes them; at step h alone
+    # the O(h^2) truncation errors read d(omega) 5.1e-4 and an Einstein residual 1.5e-3 there
+    rng = np.random.default_rng(1)
+    samples = [SiegelPoint.scaled_identity(2)] + [random_siegel_point(2, rng) for _ in range(199)]
+    report = kahler_einstein_check(samples)
+    assert report["dw_residual"] <= hodge.DW_BOUND
+    assert report["einstein_residual"] <= hodge.EINSTEIN_BOUND
     assert report["pass"] is True
 
 
