@@ -9,10 +9,10 @@ unitary W = [[I, -iI], [I, iI]] / sqrt(2) gives [F, conj F]^{-1} = W R^{-1} / sq
 so R^{-1} holds the H^{0,1}-components that the Higgs map needs, and the Weil
 operator is the real R t(J) R^{-1}.  The splitting V_C = F^1 + conj(F^1) is
 refused when ||R||_F ||R^{-1}||_F, an upper bound for its condition number
-(within a factor 2g), exceeds DECOMPOSITION_COND_LIMIT.  R = [[Re tau, Im tau],
-[I, 0]] is assembled by blocks in one array, and J, a signed permutation, is
-applied as a signed block swap, so t(J) R t(J) is exact and no product with J
-is formed; the real t(J) C then acts on the complex frame as one real product
+(within a factor 2g), exceeds DECOMPOSITION_COND_LIMIT.  F = (tau; I) and
+R = [[Re tau, Im tau], [I, 0]] are assembled by blocks, and J, a signed
+permutation, is applied as a signed block swap, so t(J) R t(J) is exact and
+no product with J is formed; the real t(J) C then acts on the complex frame as one real product
 on its interleaved real and imaginary parts.  The metric against m directions
 is one contraction, Tr(t(X_k) Q conj(X_l G^{-1})), of the (P, g^4) point terms
 with the (g^4, m^2) direction terms.
@@ -21,9 +21,8 @@ Both curvature claims are one computation, the Chern curvature
 Omega = -dbar(G^{-1} dG), on two bundles: the tangent bundle with the Hodge
 metric (its Ricci form is -tr Omega) and the Hodge bundle with its frame Gram
 matrix.  One central-difference stencil computes it.  Its offsets are integer
-vectors in units of the least step, deduplicated by one integer sort and built
-once per (m, step ratios) as read-only arrays, as is the coordinate basis per g;
-its distinct points are evaluated in one kernel call, each checked like a base
+vectors in units of the least step, deduplicated by one integer sort; its
+distinct points are evaluated in one kernel call, each checked like a base
 point, and the curvature check reads G(tau) from its zero offset.  Each leg's
 matrix is factored once for all directions around it.  A Richardson
 step-halving comparison guards against roundoff-dominated steps, and the
@@ -32,7 +31,6 @@ Einstein check measures its residuals on the Richardson extrapolation
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -67,14 +65,20 @@ class StepSizeError(ArithmeticError):
     """Raised when step halving shows a finite-difference step is unusable."""
 
 
-def _split_inverse(real):
-    # R^{-1} of R = [Re F, Im F], single or stacked; ||R||_F ||R^{-1}||_F lies in [cond_2(R), 2g cond_2(R)],
-    # so the limit refuses every F whose condition number exceeds it (and a NaN, which fails the <=)
+def _split_inverse(f):
+    """R = [Re F, Im F] and R^{-1}, for F single (2g, g) or stacked (P, 2g, g).
+
+    ||R||_F ||R^{-1}||_F lies in [cond_2(R), 2g cond_2(R)], so the limit refuses every F whose
+    condition number exceeds it (and a NaN, which fails the <=).
+    """
+    g = f.shape[-1]
+    real = np.empty(f.shape[:-1] + (2 * g,))
+    real[..., :g], real[..., g:] = f.real, f.imag
     inv = np.linalg.inv(real)
     frobenius = np.einsum("...ij,...ij->...", real, real) * np.einsum("...ij,...ij->...", inv, inv)
     if not np.max(frobenius) <= DECOMPOSITION_COND_LIMIT**2:
         raise ValueError("F^1 and conj(F^1) do not split V_C (ill-conditioned)")
-    return inv
+    return real, inv
 
 
 @dataclass(frozen=True)
@@ -85,8 +89,7 @@ class HodgeStructureW1:
     F1: PeriodPoint
 
     def __post_init__(self):
-        f = self.F1.basis
-        _split_inverse(np.hstack([f.real, f.imag]))
+        _split_inverse(self.F1.basis)
 
     @classmethod
     def from_tau(cls, tau: SiegelPoint):
@@ -164,17 +167,16 @@ def _frame_grams(taus):
     p, g = len(taus), taus.shape[-1]
     if np.min(np.linalg.eigvalsh(taus.imag)) <= 0:
         raise ValueError("Im(tau) must be positive definite at every point")
-    eye = np.eye(g)
-    real = np.zeros((p, 2 * g, 2 * g))                    # R = [[Re tau, Im tau], [I, 0]]
-    real[:, :g, :g], real[:, :g, g:], real[:, g:, :g] = taus.real, taus.imag, eye
-    inv = _split_inverse(real)
+    f = np.empty((p, 2 * g, g), dtype=complex)            # F = (tau; I), so R = [[Re tau, Im tau], [I, 0]]
+    f[:, :g], f[:, g:] = taus, np.eye(g)
+    real, inv = _split_inverse(f)
     # t(C u) J conj(v) = t(u) t(t(J) C) conj(v), and t(J) C = t(J) R t(J) R^{-1} where J is a
     # signed block swap: t(J) [[A, B], [C, D]] t(J) = [[-D, C], [B, -A]], exactly
     swapped = real.reshape(p, 2, g, 2, g)[:, ::-1, :, ::-1] * _BLOCK_SWAP_SIGNS
     j_weil = swapped.reshape(p, 2 * g, 2 * g) @ inv
     b = (inv[:, :g, :g] + 1j * inv[:, g:, :g]) / 2
     frame = np.empty((p, 2 * g, 2 * g), dtype=complex)   # [F, conj(F) B] = [[tau, conj(tau) B], [I, B]]
-    frame[:, :g, :g], frame[:, g:, :g], frame[:, :g, g:], frame[:, g:, g:] = taus, eye, taus.conj() @ b, b
+    frame[:, :, :g], frame[:, :g, g:], frame[:, g:, g:] = f, taus.conj() @ b, b
     # the real t(J) C acts on the interleaved real and imaginary parts of the frame: one real product
     j_weil_frame = (j_weil @ frame.view(float)).view(complex)
     return j_weil_frame.swapaxes(-1, -2) @ frame.conj()
@@ -198,50 +200,33 @@ def _metric_stack(taus, dirs):
     return (out + out.conj().swapaxes(-1, -2)) / 2
 
 
-def _read_only(array):
-    array.flags.writeable = False
-    return array
-
-
-@lru_cache(maxsize=8)
 def _basis_stack(g):
-    """The coordinate tangent directions (m, g, g), read-only and shared by every caller."""
-    return _read_only(np.array([x.X for x in tangent_basis(g)]))
+    return np.array([x.X for x in tangent_basis(g)])
 
 
-@lru_cache(maxsize=16)
-def _stencil_units(m, ratios):
-    """Distinct stencil offsets in units of the least step, read-only, and each row's index among them.
+def _stencil_layout(m, steps):
+    """Distinct stencil offsets (real parts, then imaginary) and each row's index among them.
 
-    Per step ratio r the rows are the legs r a e_d, then r (a e_d + b e_c) around them (a, b in
-    _LEGS); they are sorted and deduplicated as integer vectors, real parts before imaginary.
+    Per step s the rows are the legs s a e_d, then s (a e_d + b e_c) around them (a, b in _LEGS).
+    Steps are integer multiples of the least (h and h / 2 in every caller), so rows are sorted
+    and deduplicated as integer vectors in units of the least step.
     """
     legs = _LEGS[:, None] * np.eye(m)[:, None]               # (d, q, m): a e_d
     around = legs[None, :, :, None] + legs[:, None, None]    # (c, d, q, p, m)
     coords = np.concatenate([legs.reshape(-1, m), around.reshape(-1, m)])
     coords = np.concatenate([coords.real, coords.imag], axis=1).astype(int)
-    units = np.multiply.outer(np.array(ratios), coords).reshape(-1, 2 * m)
+    least = min(steps)
+    ratios = np.rint(np.divide(steps, least)).astype(int)
+    if np.any(least * ratios != steps):
+        raise ValueError("steps must be integer multiples of the least step")
+    units = np.multiply.outer(ratios, coords).reshape(-1, 2 * m)
     order = np.lexsort(units.T[::-1])
     units = units[order]
     new = np.ones(len(units), dtype=bool)
     new[1:] = (units[1:] != units[:-1]).any(axis=1)    # differs from the row before
     index = np.empty_like(order)
     index[order] = new.cumsum() - 1
-    return _read_only(units[new]), _read_only(index)
-
-
-def _stencil_layout(m, steps):
-    """Distinct stencil offsets (real parts, then imaginary) and each row's index among them.
-
-    Steps are integer multiples of the least (h and h / 2 in every caller); the layout in units
-    of the least step is built once per (m, step ratios) by _stencil_units.
-    """
-    least = min(steps)
-    ratios = np.rint(np.divide(steps, least)).astype(int)
-    if np.any(least * ratios != steps):
-        raise ValueError("steps must be integer multiples of the least step")
-    units, index = _stencil_units(m, tuple(ratios.tolist()))
-    return least * units, index
+    return least * units[new], index
 
 
 def _chern_curvature(kernel, tau, dirs, steps):

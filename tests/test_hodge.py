@@ -158,18 +158,6 @@ def test_stencil_layout_matches_the_float_row_reference(m, halved, h):
     assert offsets[index].tobytes() == expected[expected_index].tobytes()
 
 
-def test_fixed_stencil_and_basis_arrays_are_built_once_and_read_only():
-    layout = hodge._stencil_units(3, (2, 1))
-    assert all(a is b for a, b in zip(layout, hodge._stencil_units(3, (2, 1))))
-    # the same ratios at another step share the integer layout
-    assert hodge._stencil_layout(3, [1e-3, 5e-4])[1] is hodge._stencil_layout(3, [2e-3, 1e-3])[1]
-    basis = hodge._basis_stack(2)
-    assert basis is hodge._basis_stack(2)
-    for array in (*layout, basis):
-        with pytest.raises(ValueError, match="read-only"):
-            array[0] = 0
-
-
 def test_stencil_layout_refuses_steps_off_the_least_step():
     with pytest.raises(ValueError, match="integer multiples"):
         hodge._stencil_layout(2, [1e-3, 3e-4])
