@@ -20,16 +20,16 @@ int32 and int64 that holds every value it computes (int16 for the named
 lattices).  The tree is walked depth first in numpy blocks of at most ENUM_BLOCK
 nodes (more only as the children of one parent), each holding its fixed
 coordinates, and covers only the half of the set whose first nonzero coordinate
-is positive (and 0); the other half is its negative.  The cache is the memory
+is positive (and 0); the other half is its negative.  Middle-level nodes with
+equal centre sums and room have equal subtrees, so each such state is walked on
+once and its leaf rows joined with every prefix that reaches it: E16 at bound 6
+has 97 states for 8,169 nodes there (about 17 ms against 60 ms for the whole
+tree), E8+E8, an orthogonal sum, 4 rooms for 4,561.  The cache is the memory
 peak, so it keeps the vectors and their exact norms in the narrowest signed
 types that hold every coordinate and the bound: a rank-16 table at bound 6 has
 1,112,641 rows of 16 coordinates of at most 28 in absolute value, about 19 MB
-in int8 against 151 MB in int64, and the walk holds about 10 MB more.  Class
-sizes are counted on the narrow norms, never widened.
-An orthogonal sum diag(A, B) is not walked: its table is the product of the
-summands' cached tables, rows (u, v) with u outer, filled in place; E8+E8 at
-bound 6 is 9,121 E8 rows squared and cut at the bound, about 12 ms against
-about 55 ms for the walk.  Arithmetic on them is done in int64.
+in int8 against 151 MB in int64.  Class sizes are counted on the narrow norms,
+never widened.  Arithmetic on the vectors is done in int64.
 One tally kernel covers genus-g tuples of nonzero vectors (at most
 TALLY_BUDGET = 10^9, over every ordering of the full classes) by a bincount of
 int16 mixed-radix codes of their inner products.  Each multiset of norm classes
@@ -258,7 +258,7 @@ def _enumerate(lattice: LatticeGram, bound: int):
 
     With the pivot rows [p_k, ..] of the reversed Gram (p_(-1) = 1) and the centre sums
     C_k = sum_{j>k} row_k[j - k] y_j, t(y) G y = sum_k L_k^2 / (p_k p_(k-1)), L_k = p_k y_k + C_k.
-    A node about to fix y_i holds C_k (k < i) and room = p_i (bound - the terms k > i), an
+    A node about to fix y_i holds C_k (k <= i) and room = p_i (bound - the terms k > i), an
     integer: those terms form a Schur complement of denominator p_i.  y_i is allowed iff
     L_i^2 <= T = p_(i-1) room, a range of floor divisions by p_i around t = isqrt(T); the
     child's room is (T - L_i^2) // p_i, exactly, and a leaf's norm is bound - room.  Bounds:
@@ -271,8 +271,11 @@ def _enumerate(lattice: LatticeGram, bound: int):
 
     The tree is walked depth first in blocks of nodes of one level; a block with more than
     ENUM_BLOCK children is split into runs of whole parents, the first expanded first, so the
-    leaves come out in lexicographic order.  A Gram that passes the guard and is an orthogonal
-    sum is not walked: `_orthogonal_sum` gives the same table from those of its summands.
+    leaves come out in lexicographic order.  A node's subtree (coordinates, ranges and leaf norms
+    bound - room) depends only on its state (C_0..C_i, room); the all-zero prefix, whose children
+    start at 0, is the only node of its level with room p_i bound.  So a block of the middle level
+    cut = (rank - 1) // 2 walks on the first node of each state only, and each prefix, in order, is
+    joined with its state's leaf rows in runs of about ENUM_BLOCK rows, each half row one item.
     """
     if bound < 0:
         raise ValueError("bound must be >= 0")
@@ -287,110 +290,107 @@ def _enumerate(lattice: LatticeGram, bound: int):
     peak = max([a * b * bound for a, b in zip(p, prev)] + cmax + [abs(a) for row in rows for a in row])
     if peak >= 1 << 62:
         raise ValueError(f"{lattice.name} at bound {bound} needs integers up to {peak}, past 2^62")
-    split = _orthogonal_split(lattice.gram)     # a summand's integers pass the guard above
-    if split:
-        return _orthogonal_sum(lattice, split, bound)
     # every working value is within 2 peak + 2 (int16 for the named lattices), and below the
     # guard's 2^62 within peak + 2 isqrt(peak) + 2, which int64 holds
     work = next((t for t in (np.int16, np.int32) if 2 * peak + 2 <= np.iinfo(t).max), np.int64)
     upper = np.array([[0] * k + row for k, row in enumerate(rows)], dtype=work)
-    # a block of level i: centre sums C_k (k <= i), room, and rows of the fixed coordinates,
-    # zero past them, in the narrowest signed type that holds every -Y_k - 1
-    stack = [(r - 1, np.zeros((1, r), dtype=work), np.array([p[-1] * bound], dtype=work),
-              np.zeros((1, r), dtype=np.min_scalar_type(-max(ymax) - 1)))]
-    norm_type = np.min_scalar_type(-bound - 1)
-    leaves = []                                 # (coordinates, norms) per leaf block, in order
-    while stack:
-        i, sums, room, coords = stack.pop()
-        c, cap = sums[:, i], prev[i] * room     # cap is T
-        t = np.sqrt(cap, dtype=float).astype(work)  # isqrt: a float sqrt, then one integer step each way
-        t -= t * t > cap
-        t += (t + 1) * (t + 1) <= cap
-        lo, hi = -((t + c) // p[i]), (t - c) // p[i]
-        # the all-zero prefix, the least of its level, can only come first in a block; its children
-        # start at 0, so the tree holds 0 and the vectors whose first nonzero coordinate is positive
-        if not coords[0].any():
-            lo[0] = max(lo[0], 0)
-        width = np.maximum(hi - lo + 1, 0, dtype=np.intp)
-        ends = np.cumsum(width)
-        if not ends[-1]:                        # dead ends only
+
+    def descend(top, stop, sums, room, coords, owner):
+        """Blocks (C_k for k <= stop, room, fixed coordinates, owner) of level stop under one of level top."""
+        stack = [(top, sums, room, coords, owner)]
+        while stack:
+            i, sums, room, coords, owner = stack.pop()
+            if i == stop:
+                yield sums, room, coords, owner
+                continue
+            c, cap = sums[:, i], prev[i] * room     # cap is T
+            t = np.sqrt(cap, dtype=float).astype(work)  # isqrt: a float sqrt, then one integer step each way
+            t -= t * t > cap
+            t += (t + 1) * (t + 1) <= cap
+            lo, hi = -((t + c) // p[i]), (t - c) // p[i]
+            # the all-zero prefix, the least of its level, can only come first in a block; its children
+            # start at 0, so the tree holds 0 and the vectors whose first nonzero coordinate is positive
+            if not coords[0].any():
+                lo[0] = max(lo[0], 0)
+            width = np.maximum(hi - lo + 1, 0, dtype=np.intp)
+            ends = np.cumsum(width)
+            if not ends[-1]:                        # dead ends only
+                continue
+            if ends[-1] > ENUM_BLOCK and len(ends) > 1:     # runs of whole parents, the first on top
+                runs, a = [], 0
+                while a < len(ends):
+                    b = max(a + 1, int(np.searchsorted(ends, ends[a] - width[a] + ENUM_BLOCK, "right")))
+                    runs.append((i, sums[a:b], room[a:b], coords[a:b], owner[a:b]))
+                    a = b
+                stack += reversed(runs)
+                continue
+            parent = np.repeat(np.arange(len(ends)), width)
+            xi = (np.repeat(lo + width - ends, width) + np.arange(ends[-1])).astype(work)
+            lin = p[i] * xi + np.take(c, parent)
+            room = (np.take(cap, parent) - lin * lin) // p[i]
+            coords = np.take(coords, parent, axis=0)
+            coords[:, r - 1 - i] = xi               # y_i is x_(r-1-i)
+            if i:
+                sums = np.take(sums[:, :i], parent, axis=0) + np.multiply.outer(xi, upper[:i, i])
+            stack.append((i - 1, sums, room, coords, np.take(owner, parent)))
+
+    cut, split = (r - 1) // 2, r // 2           # the middle level, and the prefix columns fixed above it
+    pieces = []             # per block of level cut, in order: leaf rows, their norms and their join
+    # the root, its row of fixed coordinates in the narrowest signed type that holds every -Y_k - 1
+    root = (np.zeros((1, r), dtype=work), np.array([p[-1] * bound], dtype=work),
+            np.zeros((1, r), dtype=np.min_scalar_type(-max(ymax) - 1)), np.zeros(1, dtype=np.int32))
+    for sums, room, prefix, _ in descend(r - 1, cut, *root):
+        reps, state = _states(np.column_stack([sums, room]))
+        walked = [(coords, bound - room, owner) for _, room, coords, owner in
+                  descend(cut, -1, sums[reps], room[reps], prefix[reps], np.arange(len(reps), dtype=np.int32))]
+        if len(reps) == len(state) or not walked:   # no repeated state: the leaves are the block's own
+            pieces += [(rows, leaf_norms, ()) for rows, leaf_norms, _ in walked]
             continue
-        if ends[-1] > ENUM_BLOCK and len(ends) > 1:     # runs of whole parents, the first on top
-            pieces, a = [], 0
-            while a < len(ends):
-                b = max(a + 1, int(np.searchsorted(ends, ends[a] - width[a] + ENUM_BLOCK, "right")))
-                pieces.append((i, sums[a:b], room[a:b], coords[a:b]))
-                a = b
-            stack += reversed(pieces)
-            continue
-        parent = np.repeat(np.arange(len(ends)), width)
-        xi = (np.repeat(lo + width - ends, width) + np.arange(ends[-1])).astype(work)
-        lin = p[i] * xi + np.take(c, parent)
-        room = (np.take(cap, parent) - lin * lin) // p[i]
-        coords = np.take(coords, parent, axis=0)
-        coords[:, r - 1 - i] = xi               # y_i is x_(r-1-i)
-        if i:
-            sums = np.take(sums[:, :i], parent, axis=0) + np.multiply.outer(xi, upper[:i, i])
-            stack.append((i - 1, sums, room, coords))
-        else:
-            leaves.append((coords, (bound - room).astype(norm_type)))
-    # the narrowest signed type that holds every coordinate and -top - 1, so x -> -x is exact
-    top = max(max(-int(leaf.min()), int(leaf.max())) for leaf, _ in leaves)
-    half = sum(len(leaf) for leaf, _ in leaves)
+        rows, leaf_norms, owners = map(np.concatenate, zip(*walked))     # joined with each prefix
+        first = np.searchsorted(owners, np.arange(len(reps) + 1))     # each state's first leaf
+        width, start = np.diff(first)[state], first[state]
+        pieces.append((rows, leaf_norms, (prefix[width > 0], width[width > 0], start[width > 0])))
+    # the narrowest signed type that holds every coordinate and -top - 1, so x -> -x is exact; the
+    # rows of a join hold only the first prefix of each state, and its live prefixes the others
+    top = max(max(-int(a.min()), int(a.max())) for rows, _, join in pieces for a in (rows, *join[:1]))
+    half = sum(int(join[1].sum()) if join else len(rows) for rows, _, join in pieces)
     vecs = np.empty((2 * half - 1, r), dtype=np.min_scalar_type(-top - 1))
-    norms = np.empty(2 * half - 1, dtype=norm_type)
-    at = half - 1
-    for k, (leaf, leaf_norms) in enumerate(leaves):     # each leaf block is freed once copied
-        vecs[at:at + len(leaf)], norms[at:at + len(leaf)], leaves[k] = leaf, leaf_norms, None
-        at += len(leaf)
-    # x -> -x reverses lexicographic order
-    np.negative(vecs[:half - 1:-1], out=vecs[:half - 1])
+    norms, at = np.empty(2 * half - 1, dtype=np.min_scalar_type(-bound - 1)), half - 1
+    for k, (rows, leaf_norms, join) in enumerate(pieces):   # each leaf block is freed once copied
+        if not join:
+            vecs[at:at + len(rows)], norms[at:at + len(rows)], pieces[k] = rows, leaf_norms, None
+            at += len(rows)
+            continue
+        heads, width, start = join
+        heads = _items(heads.astype(vecs.dtype, copy=False)[:, :split])
+        tails = _items(rows.astype(vecs.dtype, copy=False)[:, split:])
+        ends, a = at + np.cumsum(width), 0
+        while a < len(width):                   # runs of whole prefixes of about ENUM_BLOCK rows
+            b = max(a + 1, int(np.searchsorted(ends, ends[a] - width[a] + ENUM_BLOCK, "right")))
+            run = slice(ends[a] - width[a], ends[b - 1])
+            _items(vecs[:, :split])[run] = np.repeat(heads[a:b], width[a:b])
+            leaf = np.repeat(start[a:b] - ends[a:b] + width[a:b], width[a:b]) + np.arange(run.start, run.stop)
+            _items(vecs[:, split:])[run], norms[run] = np.take(tails, leaf), np.take(leaf_norms, leaf)
+            a = b
+        at = ends[-1]
+    # x -> -x reverses lexicographic order: copy the rows back reversed as opaque items, then negate
+    _items(vecs)[:half - 1] = _items(vecs)[:half - 1:-1]
+    np.negative(vecs[:half - 1], out=vecs[:half - 1])
     norms[:half - 1] = norms[:half - 1:-1]
     vecs.setflags(write=False)
     norms.setflags(write=False)
     return vecs, norms
 
 
-def _orthogonal_split(gram):
-    """The least k with G[:k, k:] = 0, so that G = diag(G[:k, :k], G[k:, k:]), or None."""
-    return next((k for k in range(1, len(gram)) if not any(any(row[k:]) for row in gram[:k])), None)
+def _states(keys):
+    """The first row of each distinct row of keys, in order, and each row's position among them."""
+    _, first, state = np.unique(_items(keys), return_index=True, return_inverse=True)
+    return np.sort(first), np.searchsorted(np.sort(first), first[state])
 
 
-def _orthogonal_sum(lattice: LatticeGram, k: int, bound: int):
-    """`_enumerate` of G = diag(A, B), A of rank k, from the cached tables of A and B: the rows
-    (u, v) with t(u) A u + t(v) B v <= bound, u outer, which is lexicographic order.  The rows
-    take the wider of the two row types, which is the narrowest that holds -top - 1 again, and
-    the norms are un + vn.  The result is filled in runs of whole u with at most ENUM_BLOCK rows
-    (more only for one u), each half of a row moved as one opaque item."""
-    name = f"{lattice.name} summand"            # equal summands share one cache entry
-    (us, un), (vs, vn) = (_enumerate(LatticeGram(name, len(block), block), bound)
-                          for block in ([row[:k] for row in lattice.gram[:k]],
-                                        [row[k:] for row in lattice.gram[k:]]))
-    dtype = np.promote_types(us.dtype, vs.dtype)
-
-    def items(a):                               # a row of a as one item of a 1-d view
-        return a.view(np.dtype((np.void, a.shape[1] * dtype.itemsize)))[:, 0]
-
-    u_rows, v_all = items(us.astype(dtype, copy=False)), items(vs.astype(dtype, copy=False))
-    fits = [vn <= room for room in range(bound + 1)]    # the v that fit beside a u, by its room
-    v_rows, v_norms, rooms = [v_all[f] for f in fits], [vn[f] for f in fits], (bound - un).tolist()
-    width = np.array([len(v) for v in v_norms])[rooms]
-    ends = np.cumsum(width)
-    vecs = np.empty((ends[-1], lattice.rank), dtype)
-    norms = np.empty(ends[-1], un.dtype)
-    left, right = items(vecs[:, :k]), items(vecs[:, k:])
-    a = 0
-    while a < len(us):
-        b = max(a + 1, int(np.searchsorted(ends, ends[a] - width[a] + ENUM_BLOCK, "right")))
-        run = slice(ends[a] - width[a], ends[b - 1])
-        left[run] = np.repeat(u_rows[a:b], width[a:b])
-        np.concatenate([v_rows[m] for m in rooms[a:b]], out=right[run])
-        np.concatenate([v_norms[m] for m in rooms[a:b]], out=norms[run])
-        norms[run] += np.repeat(un[a:b], width[a:b])
-        a = b
-    vecs.setflags(write=False)
-    norms.setflags(write=False)
-    return vecs, norms
+def _items(a):
+    """The rows of a 2-d array whose rows are contiguous as the items of a 1-d view."""
+    return a.view(np.dtype((np.void, a.shape[1] * a.itemsize)))[:, 0]
 
 
 @lru_cache(maxsize=32)
@@ -404,13 +404,13 @@ def short_vectors(lattice: LatticeGram, bound: int):
     The tree of partial vectors is walked depth first in blocks of at most
     ENUM_BLOCK nodes (more only as the children of one parent), in exact
     integers only (`_enumerate`, which refuses a lattice whose integers could
-    leave int64), so every leaf is a short vector and none is missed.  It runs over y = x reversed, so it branches on x_0
-    first, and each block's children, in increasing order under each parent,
-    stay in lexicographic order.  The tree holds only 0 and the vectors whose
-    first nonzero coordinate is positive; the rest are their negatives, in
-    reverse order.  An orthogonal sum such as E8+E8 is the product of its
-    summands' tables instead, in the same order and types.  The exact norms are
-    cached beside the rows by `_enumerate`.
+    leave int64), so every leaf is a short vector and none is missed.  It runs
+    over y = x reversed, so it branches on x_0 first, and each block's children,
+    in increasing order under each parent, stay in lexicographic order.  The
+    tree holds only 0 and the vectors whose first nonzero coordinate is
+    positive; the rest are their negatives, in reverse order.  Each subtree
+    state of the middle level is walked once, its leaf rows joined with every
+    prefix that reaches it; `_enumerate` caches the exact norms beside them.
     """
     return _enumerate(lattice, bound)[0]
 
@@ -534,7 +534,7 @@ def schottky_chi8_coefficients(genus: int, trace_bound: int) -> FourierExpansion
     """
     if genus > 2:
         raise NotImplementedError("genus > 2 coefficients of the difference are not supported")
-    # E16's walk runs before E8+E8's product table is built and cached, so the two peaks do not stack
+    # E16 first: examples-table peaks at 74.9-75.1 MB resident, 75.4-75.5 MB the other way (3 runs)
     b = lattice_theta_coefficients(named_lattice("e16"), genus, trace_bound)
     a = lattice_theta_coefficients(named_lattice("e8e8"), genus, trace_bound)
     return a - b

@@ -332,11 +332,13 @@ def test_symmetric_pivots_match_fraction_ldl_on_even_grams(gram):
 @st.composite
 def even_grams(draw):
     rank = draw(st.integers(2, 4))
+    # G[:k, k:] = 0 for a drawn k < rank, an orthogonal sum (k = rank draws no zero block)
+    k = draw(st.integers(1, rank))
     gram = np.zeros((rank, rank), dtype=np.int64)
     for i in range(rank):
         gram[i, i] = 2 * draw(st.integers(1, 5))
         for j in range(i):
-            gram[i, j] = gram[j, i] = draw(st.integers(-3, 3))
+            gram[i, j] = gram[j, i] = 0 if j < k <= i else draw(st.integers(-3, 3))
     assume(np.linalg.eigvalsh(gram)[0] > 0.2)
     return gram
 
@@ -369,28 +371,63 @@ def test_short_vectors_match_box_enumeration(gram, bound, block):
     assert split_norms.dtype == got_norms.dtype and np.array_equal(split_norms, got_norms)
 
 
-@pytest.mark.parametrize("block", [1, 7])
-@pytest.mark.parametrize("name, bound", [("e8", 10), ("e8e8", 4), ("e16", 4)])
+def _unshared_walk(lattice, bound):
+    """`_enumerate` with every node at the cut its own state, so that no subtree is shared: the
+    Fincke-Pohst walk of every node."""
+    with mock.patch.object(thetaforms, "_states", lambda keys: (np.arange(len(keys)),) * 2):
+        return thetaforms._enumerate.__wrapped__(lattice, bound)
+
+
+def _assert_same_table(got, expected):
+    (vecs, norms), (want, want_norms) = got, expected
+    assert vecs.dtype == want.dtype and vecs.shape == want.shape and np.array_equal(vecs, want)
+    assert norms.dtype == want_norms.dtype and np.array_equal(norms, want_norms)
+    assert not vecs.flags.writeable and not norms.flags.writeable
+
+
+# every bound up to the second, at the third's ENUM_BLOCK; at blocks 1 and 7 a rank-16 walk at
+# bound 6 takes 8-30 s, so those stop at bound 4
+@pytest.mark.parametrize("name, bound, block", [
+    ("e8", 10, 1), ("e8e8", 4, 1), ("e16", 4, 1), ("e8", 10, 7), ("e8e8", 4, 7), ("e16", 4, 7),
+    ("e8", 10, thetaforms.ENUM_BLOCK), ("e8e8", 6, thetaforms.ENUM_BLOCK), ("e16", 6, thetaforms.ENUM_BLOCK)])
 def test_enumeration_blocks_split_at_parent_boundaries(name, bound, block):
-    # against the default blocks.  Split pieces that are not first start with nodes whose
-    # range goes below 0 (clamping them too loses vectors), and in E16 some split pieces
+    # against the unshared walk at the default blocks.  Split pieces that are not first start with
+    # nodes whose range goes below 0 (clamping them too loses vectors), and in E16 some split pieces
     # hold only dead ends, so their next level is empty and is skipped
     lattice = named_lattice(name)
-    vecs, norms = thetaforms._enumerate(lattice, bound)
-    with mock.patch.object(thetaforms, "ENUM_BLOCK", block):
-        split, split_norms = thetaforms._enumerate.__wrapped__(lattice, bound)
-    assert split.dtype == vecs.dtype == np.int8 and np.array_equal(split, vecs)
-    assert split_norms.dtype == norms.dtype == np.int8 and np.array_equal(split_norms, norms)
-    assert not split.flags.writeable and not split_norms.flags.writeable
+    for b in range(bound + 1):
+        with mock.patch.object(thetaforms, "ENUM_BLOCK", block):
+            got = thetaforms._enumerate.__wrapped__(lattice, b)
+        _assert_same_table(got, _unshared_walk(lattice, b))
+    vecs, norms = got
+    assert vecs.dtype == norms.dtype == np.int8
     # 240 sigma_3(n) vectors of norm 2n in E8, 480 sigma_7(n) in rank 16
-    shells = {"e8": [1, 240, 2160, 6720, 17520, 30240]}.get(name, [1, 480, 61920])
-    assert np.bincount(split_norms)[::2].tolist() == shells
+    shells = {"e8": [1, 240, 2160, 6720, 17520, 30240]}.get(name, [1, 480, 61920, 1050240])
+    assert np.bincount(norms)[::2].tolist() == shells[:bound // 2 + 1]
 
 
-def _unsplit_walk(lattice, bound):
-    """`_enumerate` with the orthogonal-sum path switched off: the Fincke-Pohst walk alone."""
-    with mock.patch.object(thetaforms, "_orthogonal_split", return_value=None):
-        return thetaforms._enumerate.__wrapped__(lattice, bound)
+def _walked_states(lattice, bound):
+    """The state rows (C_0..C_cut, room) of each block at the cut, in order, each with the number of
+    distinct states walked on, and the table."""
+    seen, states = [], thetaforms._states
+
+    def counted(keys):
+        reps, state = states(keys)
+        seen.append((keys, len(reps)))
+        return reps, state
+
+    with mock.patch.object(thetaforms, "_states", counted):
+        table = thetaforms._enumerate.__wrapped__(lattice, bound)
+    return seen, table
+
+
+def test_each_distinct_state_at_the_cut_is_walked_once():
+    # at bound 6 the cut (level 7) is one block: E16's 8,169 nodes hold 97 states, and E8+E8's
+    # 4,561 nodes (the first summand's half table) hold 4, its rooms for norms 0, 2, 4 and 6
+    for name, nodes, states in (("e16", 8169, 97), ("e8e8", 4561, 4)):
+        seen, table = _walked_states(named_lattice(name), 6)
+        assert [(len(keys), walked) for keys, walked in seen] == [(nodes, states)]
+        assert np.bincount(table[1])[::2].tolist() == [1, 480, 61920, 1050240]
 
 
 def _block_diagonal(name, *blocks):
@@ -402,36 +439,30 @@ def _block_diagonal(name, *blocks):
     return LatticeGram(name, len(gram), gram.tolist())
 
 
-def _assert_same_table(got, expected):
-    (vecs, norms), (want, want_norms) = got, expected
-    assert vecs.dtype == want.dtype and vecs.shape == want.shape and np.array_equal(vecs, want)
-    assert norms.dtype == want_norms.dtype and np.array_equal(norms, want_norms)
-    assert not vecs.flags.writeable and not norms.flags.writeable
-
-
 @pytest.mark.parametrize("block", [1, 7, thetaforms.ENUM_BLOCK])
 def test_orthogonal_sum_matches_the_unsplit_walk_on_e8e8(block):
+    # the cut lies on the boundary of the two summands, so each state is a room alone: the centre
+    # sums at the cut are 0.  At blocks 1 and 7 this stops at bound 2; bounds 3 and 4 are compared
+    # there by test_enumeration_blocks_split_at_parent_boundaries
     lattice = named_lattice("e8e8")
-    assert thetaforms._orthogonal_split(lattice.gram) == 8
-    for bound in range(7):
+    for bound in range(7 if block == thetaforms.ENUM_BLOCK else 3):
         with mock.patch.object(thetaforms, "ENUM_BLOCK", block):
-            got = thetaforms._enumerate.__wrapped__(lattice, bound)
-        _assert_same_table(got, _unsplit_walk(lattice, bound))
-    # D16+ is indecomposable and keeps the walk
-    assert thetaforms._orthogonal_split(named_lattice("e16").gram) is None
+            seen, got = _walked_states(lattice, bound)
+        assert seen and not any(keys[:, :-1].any() for keys, _ in seen)
+        _assert_same_table(got, _unshared_walk(lattice, bound))
 
 
 @pytest.mark.parametrize("block", [1, 7, thetaforms.ENUM_BLOCK])
 def test_orthogonal_sum_of_three_summands_recurses(block):
-    # named per block, so that no other case has cached its summands
-    lattice = _block_diagonal(f"A2+(4)+A3 at block {block}", _cartan_a(2), [[4]], _cartan_a(3))
+    # the cut of this rank-6 sum (level 2) falls after (4), so prefixes of equal norm share a state
+    lattice = _block_diagonal("A2+(4)+A3", _cartan_a(2), [[4]], _cartan_a(3))
+    shared = False
     for bound in range(9):
-        with mock.patch.object(thetaforms, "ENUM_BLOCK", block), \
-                mock.patch.object(thetaforms, "_orthogonal_sum", wraps=thetaforms._orthogonal_sum) as split:
-            got = thetaforms._enumerate.__wrapped__(lattice, bound)
-        # A2 + ((4) + A3), and the second summand once more
-        assert [call.args[1] for call in split.call_args_list] == [2, 1]
-        _assert_same_table(got, _unsplit_walk(lattice, bound))
+        with mock.patch.object(thetaforms, "ENUM_BLOCK", block):
+            seen, got = _walked_states(lattice, bound)
+        shared |= any(walked < len(keys) for keys, walked in seen)
+        _assert_same_table(got, _unshared_walk(lattice, bound))
+    assert shared
 
 
 @pytest.mark.parametrize("block", [1, 7, thetaforms.ENUM_BLOCK])
@@ -447,7 +478,17 @@ def test_orthogonal_sum_of_summands_with_different_row_types(block):
         with mock.patch.object(thetaforms, "ENUM_BLOCK", block):
             got = thetaforms._enumerate.__wrapped__(lattice, bound)
         assert got[0].dtype == np.int16 and got[1].dtype == np.int32
-        _assert_same_table(got, _unsplit_walk(lattice, bound))
+        _assert_same_table(got, _unshared_walk(lattice, bound))
+    # A2 sheared at m bounds its coordinates by Y = 2m at bound 6, so from m = 64 the walk holds them
+    # in int16.  At m = 64 the largest is 127, and the shared rows are narrowed to int8 before they
+    # are joined; at m = 65 it is 129, held only by prefixes whose state an earlier prefix walked
+    for m, dtype in ((64, np.int8), (65, np.int16)):
+        lattice = _block_diagonal("sheared A2+A2", _sheared_a2(m).gram, _cartan_a(2))
+        with mock.patch.object(thetaforms, "ENUM_BLOCK", block):
+            seen, got = _walked_states(lattice, 6)
+        assert any(walked < len(keys) for keys, walked in seen)
+        assert got[0].dtype == dtype and np.abs(got[0]).max() == 2 * m - 1
+        _assert_same_table(got, _unshared_walk(lattice, 6))
 
 
 def _tuple_tally(lattice, genus, trace_bound):
