@@ -385,10 +385,12 @@ def _assert_same_table(got, expected):
     assert not vecs.flags.writeable and not norms.flags.writeable
 
 
-# every bound up to the second, at the third's ENUM_BLOCK; at blocks 1 and 7 a rank-16 walk at
-# bound 6 takes 8-30 s, so those stop at bound 4
+# every bound up to the second, at the third's ENUM_BLOCK.  At blocks 1 and 7 a rank-16 walk at
+# bound 6 takes 13 s or more, a node or a few per numpy block, so those stop at bound 4; blocks of 64
+# still split E16's cut at bound 6, into 167 blocks, 166 of them sharing states (E8+E8 at blocks of
+# 64 is compared by test_orthogonal_sum_matches_the_unsplit_walk_on_e8e8)
 @pytest.mark.parametrize("name, bound, block", [
-    ("e8", 10, 1), ("e8e8", 4, 1), ("e16", 4, 1), ("e8", 10, 7), ("e8e8", 4, 7), ("e16", 4, 7),
+    ("e8", 10, 1), ("e8e8", 4, 1), ("e16", 4, 1), ("e8", 10, 7), ("e8e8", 4, 7), ("e16", 4, 7), ("e16", 6, 64),
     ("e8", 10, thetaforms.ENUM_BLOCK), ("e8e8", 6, thetaforms.ENUM_BLOCK), ("e16", 6, thetaforms.ENUM_BLOCK)])
 def test_enumeration_blocks_split_at_parent_boundaries(name, bound, block):
     # against the unshared walk at the default blocks.  Split pieces that are not first start with
@@ -439,17 +441,20 @@ def _block_diagonal(name, *blocks):
     return LatticeGram(name, len(gram), gram.tolist())
 
 
-@pytest.mark.parametrize("block", [1, 7, thetaforms.ENUM_BLOCK])
+@pytest.mark.parametrize("block", [1, 7, 64, thetaforms.ENUM_BLOCK])
 def test_orthogonal_sum_matches_the_unsplit_walk_on_e8e8(block):
     # the cut lies on the boundary of the two summands, so each state is a room alone: the centre
-    # sums at the cut are 0.  At blocks 1 and 7 this stops at bound 2; bounds 3 and 4 are compared
-    # there by test_enumeration_blocks_split_at_parent_boundaries
+    # sums at the cut are 0.  At blocks 1 and 7 this stops at bound 2 (bounds 3 and 4 are compared
+    # there by test_enumeration_blocks_split_at_parent_boundaries, and bound 6 takes 13-30 s); blocks
+    # of 64 still split the cut of bound 6, into 92 blocks of at most 4 states each
     lattice = named_lattice("e8e8")
-    for bound in range(7 if block == thetaforms.ENUM_BLOCK else 3):
+    for bound in range(7 if block >= 64 else 3):
         with mock.patch.object(thetaforms, "ENUM_BLOCK", block):
             seen, got = _walked_states(lattice, bound)
         assert seen and not any(keys[:, :-1].any() for keys, _ in seen)
         _assert_same_table(got, _unshared_walk(lattice, bound))
+    if block == 64:
+        assert len(seen) == 92 and all(walked <= 4 < len(keys) for keys, walked in seen)
 
 
 @pytest.mark.parametrize("block", [1, 7, thetaforms.ENUM_BLOCK])
