@@ -301,6 +301,18 @@ def test_tally_budget_guard_tallies_nothing(capsys, monkeypatch):
     assert "4907520000 tuples" in json.loads(captured.err)["error"]
 
 
+def test_theta_box_guard_builds_nothing(capsys, monkeypatch):
+    def build(*args):
+        raise AssertionError("the theta box guard must fire before any box is built")
+
+    monkeypatch.setattr(thetaforms, "_theta_layout", build)
+    assert main(["theta", "--char", "000;000", "--tau", "[[[0,1],0,0],[0,[0,1],0],[0,0,[0,1]]]",
+                 "--radius", "1000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "32072054014 rows" in json.loads(captured.err)["error"]
+
+
 @pytest.mark.parametrize("error, code", [
     (np.linalg.LinAlgError("Matrix is not positive definite"), 3),
     (hodge.StepSizeError("Richardson disagreement"), 3),

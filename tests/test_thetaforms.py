@@ -4,7 +4,7 @@ import json
 import math
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, permutations, product
 from unittest import mock
 
 import numpy as np
@@ -60,13 +60,13 @@ def test_theta_value_at_i():
 def test_odd_characteristics_vanish():
     tau = SiegelPoint(1, np.array([[0.3 + 0.8j]]))
     odd = ThetaCharacteristic.from_doubled((1,), (1,))
-    assert abs(theta_constant(odd, tau, TruncationParams(radius=10, target=1e-4))) <= 1e-12
+    assert abs(theta_constant(odd, tau, TruncationParams(radius=10, target=1e-4))) == 0
     tau2 = SiegelPoint(2, np.array([[1j, 0.2], [0.2, 1.5j]]))
     for bits1, bits2 in (((1, 0), (1, 0)), ((1, 1), (1, 0)), ((0, 1), (1, 1))):
         char = ThetaCharacteristic.from_doubled(bits1, bits2)
         if char.is_even:
             continue
-        assert abs(theta_constant(char, tau2)) <= 1e-12
+        assert abs(theta_constant(char, tau2)) == 0
 
 
 def test_theta_periodicity():
@@ -104,14 +104,48 @@ THETA_BOX_POINTS = {
 }
 
 
-def _inline_box_theta(char, tau, trunc):
-    """The theta sum with its box built inline on every call, as before the box was cached."""
-    r = trunc.radius
-    axes = [np.arange(-2 * r - b, 2 * r + b + 1, 2) for b in char.s1]
-    d = np.stack([grid.ravel() for grid in np.meshgrid(*axes, indexing="ij")], axis=1)
-    quad = np.einsum("ni,ij,nj->n", d, tau.tau, d)
-    phases = np.array([1, 1j, -1, -1j])[d @ np.array(char.s2) % 4]
-    return complex(np.sum(np.exp(1j * math.pi / 4 * quad) * phases)), theta_tail_estimate(tau, trunc)
+def _stdlib_theta(char, tau, trunc):
+    """(theta[char](tau) over the full box, with one cmath.exp per term and the real and imaginary
+    parts summed by math.fsum, and a first-order bound on its distance from the kernel's value).
+
+    With u = 2^-53 and S = sum |d_i| |tau_ij| |d_j| for a term: both sides compute t(d) tau d within
+    about 4.3 g^2 u S, the product with pi i/4 adds u |t(d) tau d| <= u S on each side, and each exp is
+    within 4 u of the rounded argument's, so a term moves by at most u (8 + 10 g^2 S) relative.  The
+    kernel sums n = ceil(N/2) half-box rows of weight at most 2, within 2 n u sum |term|, and fsum
+    rounds the exact sum once, within 2 u |theta| over both parts."""
+    g, r, t = char.g, trunc.radius, tau.tau.tolist()
+    axes = [range(-2 * r - b, 2 * r + b + 1, 2) for b in char.s1]
+    reals, imags, moved, total, count = [], [], 0.0, 0.0, 0
+    for d in product(*axes):
+        q = sum(d[i] * t[i][j] * d[j] for i in range(g) for j in range(g))
+        s = sum(abs(d[i]) * abs(t[i][j]) * abs(d[j]) for i in range(g) for j in range(g))
+        term = cmath.exp(1j * math.pi / 4 * q) * (1, 1j, -1, -1j)[sum(a * b for a, b in zip(d, char.s2)) % 4]
+        reals.append(term.real)
+        imags.append(term.imag)
+        moved += abs(term) * (8 + 10 * g * g * s)
+        total += abs(term)
+        count += 1
+    value = complex(math.fsum(reals), math.fsum(imags))
+    return value, 2.0 ** -53 * (moved + 2 * ((count + 1) // 2) * total + 2 * abs(value))
+
+
+def _half_box_layout(g, r):
+    """The layout rebuilt from the full box: each s1's first ceil(N/2) rows, their monomials and
+    weights i^(t(d) s2) + i^(-t(d) s2), with the centre d = 0 of s1 = 0 once."""
+    monomials, weights = [], []
+    for s1 in product((0, 1), repeat=g):
+        axes = [np.arange(-2 * r - b, 2 * r + b + 1, 2) for b in s1]
+        d = np.stack([grid.ravel() for grid in np.meshgrid(*axes, indexing="ij")], axis=1)
+        assert np.array_equal(d[::-1], -d)      # row k and row N - 1 - k are d and -d
+        d = d[:(len(d) + 1) // 2]
+        monomials.append(np.stack([d[:, i] * d[:, j] * (1 if i == j else 2)
+                                   for i in range(g) for j in range(i, g)], axis=1))
+        powers = np.array(list(product((0, 1), repeat=g))) @ d.T
+        w = (np.array([1, 1j, -1, -1j])[powers % 4] + np.array([1, 1j, -1, -1j])[-powers % 4]).real
+        if not any(s1):
+            w[:, -1] = 1
+        weights.append(w)
+    return np.concatenate(monomials), weights
 
 
 @pytest.mark.parametrize("g, radius", [(1, 8), (2, 8), (2, 12), (3, 5), (1, 70)])
@@ -119,33 +153,48 @@ def test_cached_theta_box_is_bit_identical_to_the_inline_box(g, radius):
     tau = SiegelPoint(g, THETA_BOX_POINTS[g])
     trunc = TruncationParams(radius=radius, target=1e-6)
     for char in even_characteristics(g):
-        assert theta_constant_with_tail(char, tau, trunc) == _inline_box_theta(char, tau, trunc)
-        # the cached box is int8 up to radius 63 and int16 beyond
-        assert thetaforms._theta_box(char.s1, radius).dtype == (np.int8 if radius <= 63 else np.int16)
+        value, tail = theta_constant_with_tail(char, tau, trunc)
+        reference, bound = _stdlib_theta(char, tau, trunc)
+        assert abs(value - reference) <= bound and bound < 1e-12
+        assert tail == theta_tail_estimate(tau, trunc)
+    # the cached half boxes are the inline box's, as monomials in int16 up to radius 63 and int32
+    # beyond, with int8 weights in {2, 0, -2} and 1 at the centre
+    monomials, weights = thetaforms._theta_layout(g, radius)
+    inline_monomials, inline_weights = _half_box_layout(g, radius)
+    assert monomials.dtype == (np.int16 if radius <= 63 else np.int32)
+    assert np.array_equal(monomials, inline_monomials)
+    assert len(monomials) == ((4 * radius + 3) ** g + 1) // 2
+    assert len(weights) == len(inline_weights) == 2 ** g
+    assert all(w.dtype == np.int8 and np.array_equal(w, inline) for w, inline in zip(weights, inline_weights))
 
 
 def test_cached_theta_box_is_read_only():
-    char = even_characteristics(2)[3]
-    theta_constant(char, SiegelPoint(2, THETA_BOX_POINTS[2]), TruncationParams(radius=8, target=1e-6))
-    d, phases = thetaforms._theta_box(char.s1, 8), thetaforms._theta_phases(char, 8)
-    with pytest.raises(ValueError):
-        d[0, 0] = 0
-    with pytest.raises(ValueError):
-        phases[0] = 0
+    trunc = TruncationParams(radius=8, target=1e-6)
+    theta_constant(even_characteristics(2)[3], SiegelPoint(2, THETA_BOX_POINTS[2]), trunc)
+    monomials, weights = thetaforms._theta_layout(2, 8)
+    values, _ = thetaforms._theta_values(2, trunc, THETA_BOX_POINTS[2].tobytes())
+    for array, index in ((monomials, (0, 0)), (weights[1], (0, 0)), (values, (0,) * 4)):
+        with pytest.raises(ValueError):
+            array[index] = 0
 
 
 def test_characteristics_sharing_s1_share_one_box_of_terms():
-    # exp(pi i/4 t(d) tau d) depends on s1, the truncation and tau only: one einsum per s1
+    # every characteristic at a point and truncation, odd ones included, is read off one pass:
+    # one tail, one exp over the rows of all 2^g half boxes, one real product per s1
     tau = SiegelPoint(3, THETA_BOX_POINTS[3] + 0.01)
     trunc = TruncationParams(radius=5, target=1e-6)
-    chars = [c for c in even_characteristics(3) if c.s1 == (1, 0, 1)]
-    assert len(chars) == 4
-    with mock.patch.object(np, "einsum", wraps=np.einsum) as einsum:
+    chars = [ThetaCharacteristic.from_doubled(bits[:3], bits[3:]) for bits in product((0, 1), repeat=6)]
+    info = thetaforms._theta_values.cache_info()
+    with mock.patch.object(thetaforms, "theta_tail_estimate", wraps=theta_tail_estimate) as tail_estimate, \
+            mock.patch.object(np, "exp", wraps=np.exp) as exp, mock.patch.object(np, "dot", wraps=np.dot) as dot:
         values = [theta_constant_with_tail(char, tau, trunc) for char in chars]
-    assert einsum.call_count == 1
-    assert values == [_inline_box_theta(char, tau, trunc) for char in chars]
-    terms, tail = thetaforms._theta_terms((1, 0, 1), trunc, tau.tau.tobytes())
-    assert not terms.flags.writeable and tail == values[0][1]
+    assert tail_estimate.call_count == 1
+    assert sorted(np.size(call.args[0]) for call in exp.call_args_list) == [80, ((4 * 5 + 3) ** 3 + 1) // 2]
+    assert dot.call_count == 1 + 8
+    after = thetaforms._theta_values.cache_info()
+    assert (after.misses, after.hits) == (info.misses + 1, info.hits + 63)
+    assert all(tail == values[0][1] for _, tail in values)
+    assert [value == 0 for value, _ in values] == [not char.is_even for char in chars]
 
 
 def test_every_call_past_its_target_raises():
@@ -153,11 +202,14 @@ def test_every_call_past_its_target_raises():
     char = even_characteristics(2)[0]
     loose, strict = TruncationParams(radius=2, target=1.0), TruncationParams(radius=2, target=1e-12)
     theta_constant(char, tau, loose)
+    entries = thetaforms._theta_values.cache_info().currsize
     for _ in range(2):       # nothing is cached by a raising call, so the second raises too
         with pytest.raises(TruncationError):
             theta_constant(char, tau, strict)
-    # the terms cached under the loose target do not serve the strict one
-    assert theta_constant(char, tau, loose) == _inline_box_theta(char, tau, loose)[0]
+    assert thetaforms._theta_values.cache_info().currsize == entries
+    # the values cached under the loose target do not serve the strict one
+    reference, bound = _stdlib_theta(char, tau, loose)
+    assert abs(theta_constant(char, tau, loose) - reference) <= bound
 
 
 def test_a_point_one_ulp_away_gets_its_own_terms():
@@ -167,9 +219,27 @@ def test_a_point_one_ulp_away_gets_its_own_terms():
     tau, moved = SiegelPoint(2, THETA_BOX_POINTS[2]), SiegelPoint(2, near)
     char = even_characteristics(2)[4]
     theta_constant(char, tau, trunc)
-    misses = thetaforms._theta_terms.cache_info().misses
-    assert theta_constant_with_tail(char, moved, trunc) == _inline_box_theta(char, moved, trunc)
-    assert thetaforms._theta_terms.cache_info().misses == misses + 1
+    misses = thetaforms._theta_values.cache_info().misses
+    value, tail = theta_constant_with_tail(char, moved, trunc)
+    reference, bound = _stdlib_theta(char, moved, trunc)
+    assert abs(value - reference) <= bound and tail == theta_tail_estimate(moved, trunc)
+    assert thetaforms._theta_values.cache_info().misses == misses + 1
+
+
+def test_theta_box_guard_refuses_past_its_row_limit():
+    def build(*args):
+        raise AssertionError("the box guard must fire before any layout is built")
+
+    tau = SiegelPoint.scaled_identity(3)
+    char = even_characteristics(3)[0]
+    with mock.patch.object(thetaforms, "_theta_layout", side_effect=build):
+        with pytest.raises(ValueError, match="32072054014 rows"):
+            theta_constant(char, tau, TruncationParams(radius=1000, target=1e-6))
+        with pytest.raises(ValueError, match="1024192 rows"):        # radius 31 is refused ...
+            theta_constant(char, tau, TruncationParams(radius=31, target=1e-6))
+        with pytest.raises(AssertionError, match="box guard"):       # ... and radius 30 (930,484 rows) built
+            theta_constant(char, tau, TruncationParams(radius=30, target=1e-6))
+    assert ((4 * 30 + 3) ** 3 + 1) // 2 <= thetaforms.THETA_BOX_ROWS < ((4 * 31 + 3) ** 3 + 1) // 2
 
 
 def test_truncation_certificate():
