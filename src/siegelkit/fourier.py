@@ -227,10 +227,10 @@ def siegel_phi(f: FourierExpansion) -> FourierExpansion:
     g_new = f.g - 1
     coeffs = {}
     for a, c in f.items():
-        if any(a.twoA[f.g - 1][j] != 0 for j in range(f.g)):
+        if any(a.twoA[f.g - 1]):
             continue
-        sub = tuple(tuple(a.twoA[i][j] for j in range(g_new)) for i in range(g_new))
-        coeffs[HalfIntegralMatrix(g_new, sub)] = c
+        # the key of A', its index built and PSD-checked once per key by HalfIntegralMatrix.from_key
+        coeffs[tuple(a.twoA[i][j] for i in range(g_new) for j in range(i, g_new))] = c
     return FourierExpansion(g_new, f.level, f.weight, coeffs, f.trace_bound)
 
 

@@ -33,10 +33,10 @@ never widened.  Arithmetic on the vectors is done in int64.
 One tally kernel covers genus-g tuples of nonzero vectors (at most
 TALLY_BUDGET = 10^9, over every ordering of the full classes) by a bincount of
 int16 mixed-radix codes of their inner products.  Each multiset of norm classes
-is tallied once, over the positive halves of its sorted combo, with one product
-block per class and chunk; the signs are unfolded on the histogram and other
-orderings read as transposes (E8 genus 3, trace 4: 51 ms; 157 ms per ordering
-in int64).  A coefficient with a_ii = 0 comes from the table one genus down.
+is tallied once, over the positive halves of its sorted combo, and each
+arrangement of a run of equal classes once; slot swaps, ties, signs and other
+orderings are read off the histogram (E8 genus 3, trace 4: 36 ms, 53 ms
+over every arrangement).  A coefficient with a_ii = 0 comes from genus - 1.
 """
 
 import math
@@ -321,12 +321,8 @@ def _enumerate(lattice: LatticeGram, bound: int):
             if not ends[-1]:                        # dead ends only
                 continue
             if ends[-1] > ENUM_BLOCK and len(ends) > 1:     # runs of whole parents, the first on top
-                runs, a = [], 0
-                while a < len(ends):
-                    b = max(a + 1, int(np.searchsorted(ends, ends[a] - width[a] + ENUM_BLOCK, "right")))
-                    runs.append((i, sums[a:b], room[a:b], coords[a:b], None if owner is None else owner[a:b]))
-                    a = b
-                stack += reversed(runs)
+                stack += reversed([(i, sums[run], room[run], coords[run], None if owner is None else owner[run])
+                                   for run in _runs(ends, width)])
                 continue
             parent = np.repeat(np.arange(len(ends)), width)
             xi = (np.repeat(lo + width - ends, width) + np.arange(ends[-1])).astype(work)
@@ -370,14 +366,12 @@ def _enumerate(lattice: LatticeGram, bound: int):
         heads, width, start = join
         heads = _items(heads.astype(vecs.dtype, copy=False)[:, :split])
         tails = _items(rows.astype(vecs.dtype, copy=False)[:, split:])
-        ends, a = at + np.cumsum(width), 0
-        while a < len(width):                   # runs of whole prefixes of about ENUM_BLOCK rows
-            b = max(a + 1, int(np.searchsorted(ends, ends[a] - width[a] + ENUM_BLOCK, "right")))
-            run = slice(ends[a] - width[a], ends[b - 1])
-            _items(vecs[:, :split])[run] = np.repeat(heads[a:b], width[a:b])
-            leaf = np.repeat(start[a:b] - ends[a:b] + width[a:b], width[a:b]) + np.arange(run.start, run.stop)
-            _items(vecs[:, split:])[run], norms[run] = np.take(tails, leaf), np.take(leaf_norms, leaf)
-            a = b
+        ends = at + np.cumsum(width)
+        for run in _runs(ends, width):          # runs of whole prefixes of about ENUM_BLOCK rows
+            span = slice(ends[run.start] - width[run.start], ends[run.stop - 1])
+            _items(vecs[:, :split])[span] = np.repeat(heads[run], width[run])
+            leaf = np.repeat(start[run] - ends[run] + width[run], width[run]) + np.arange(span.start, span.stop)
+            _items(vecs[:, split:])[span], norms[span] = np.take(tails, leaf), np.take(leaf_norms, leaf)
         at, pieces[k] = ends[-1], None
     # x -> -x reverses lexicographic order: copy the rows back reversed as opaque items, then negate
     _items(vecs)[:half - 1] = _items(vecs)[:half - 1:-1]
@@ -386,6 +380,15 @@ def _enumerate(lattice: LatticeGram, bound: int):
     vecs.setflags(write=False)
     norms.setflags(write=False)
     return vecs, norms
+
+
+def _runs(ends, width):
+    """Runs a:b of the items of these widths and cumulative ends, of at most ENUM_BLOCK rows or one item."""
+    a = 0
+    while a < len(ends):
+        b = max(a + 1, int(np.searchsorted(ends, ends[a] - width[a] + ENUM_BLOCK, "right")))
+        yield slice(a, b)
+        a = b
 
 
 def _states(keys):
@@ -441,15 +444,18 @@ def lattice_theta_coefficients(lattice: LatticeGram, genus: int, trace_bound: in
     then x_i = 0 and row i of 2A is 0, so c(A) comes from the genus - 1 table.
     Each multiset of nonzero norm classes with sum <= 2 * trace_bound is tallied
     once, as its sorted combo, over tuples from the positive halves of the
-    classes: each pair i < j gives one digit t(x_i) G x_j + trace_bound of a
-    mixed-radix code, in 0..2 * trace_bound by Cauchy-Schwarz.  The codes are
-    filled in int16 (the narrowest type that holds them) from one product block
-    per class and chunk, and counted by bincount, TALLY_CHUNK at a time.  The
-    signs are unfolded on the histogram: x_k -> -x_k reflects (np.flip) the digit
-    of each pair holding k, and s, -s give the same code, so the full counts are
-    twice the sum over the 2^(genus - 1) sign patterns with s_1 = +1.  Another
-    ordering, whose axis k is axis pos[k] of the sorted combo (a stable sort),
-    reads it through one np.transpose: its pair (i, j) is pair (pos[i], pos[j]).
+    classes: pair i < j gives the digit t(x_i) G x_j + trace_bound (in
+    0..2 * trace_bound by Cauchy-Schwarz) of an int16 mixed-radix code, filled
+    from one int64 product block per class and chunk and counted by bincount,
+    TALLY_CHUNK at a time.  If the first r >= 2 slots share a class, only tuples
+    whose slot-0 index is below the run's others are counted (the rest are
+    raised past radix^pairs and dropped); the cube adds that histogram with slot
+    0 swapped with each run slot, and the ties, whose least run index repeats,
+    read off the (1, 2) product plane.  The signs are unfolded on the histogram:
+    x_k -> -x_k reflects (np.flip) the digit of each pair holding k, and s, -s
+    give the same code, so the full counts are twice the sum over the
+    2^(genus - 1) sign patterns with s_1 = +1.  Another ordering, axis k at axis
+    pos[k] of the sorted combo (a stable sort), is one np.transpose.
     Cost guards: genus <= 3 and trace_bound <= 8; at rank 16, genus <= 2,
     trace_bound <= 4 (trace 5 would enumerate 46.5M vectors) and trace_bound <= 3
     at genus 2 (trace 4 would hold 4,901,990,400 tuples); TALLY_BUDGET tuples of
@@ -488,8 +494,10 @@ def lattice_theta_coefficients(lattice: LatticeGram, genus: int, trace_bound: in
     pairs = list(combinations(range(genus), 2))
     radix = bound + 1
     weights = [radix ** (len(pairs) - 1 - p) for p in range(len(pairs))]
-    # the walk's rule: the narrowest of int16, int32 and int64 that holds every code (int16 under the guards)
-    code_type = next(t for t in (np.int16, np.int32, np.int64) if radix ** len(pairs) - 1 <= np.iinfo(t).max)
+    # the walk's rule: the narrowest of int16, int32 and int64 that holds every code, a tuple that a run
+    # leaves out adding radix^pairs per run slot (int16 under the guards: below 3 * 17^3)
+    sentinel = radix ** len(pairs)
+    code_type = next(t for t in (np.int16, np.int32, np.int64) if genus * sentinel - 1 <= np.iinfo(t).max)
 
     @lru_cache(maxsize=None)
     def rows(n):                          # the positive half of the class of norm n
@@ -499,35 +507,57 @@ def lattice_theta_coefficients(lattice: LatticeGram, genus: int, trace_bound: in
     def spread(block, i, j):              # a block of t(x_i) G x_j on axes i and j of the tuple
         return np.expand_dims(block, tuple(set(range(genus)) - {i, j}))
 
+    def permuted(cube, pos):              # slot k to slot pos[k]: pair (i, j) to (pos[i], pos[j]), t(x) G y = t(y) G x
+        return np.transpose(cube, [pairs.index(tuple(sorted((pos[i], pos[j])))) for i, j in pairs])
+
+    buffer = np.empty(0, dtype=code_type)     # filled by every pass, grown when a pass needs more
+
     def unfolded(combo):                  # the full histogram of a sorted combo, one axis per pair
+        nonlocal buffer
         shape = [int(sizes[n]) // 2 for n in combo]
-        # pairs within the later axes once; pairs with the first, per chunk, one product per class
-        code = np.asarray(trace_bound * sum(weights) + sum(
-            w * spread(rows(combo[i]) @ gram_np @ rows(combo[j]).T, i, j)
-            for (i, j), w in zip(pairs, weights) if i), dtype=code_type)
-        step = max(1, TALLY_CHUNK // math.prod(shape[1:]))
-        buffer = np.empty([min(step, shape[0])] + shape[1:], dtype=code_type)    # filled by every pass
-        counts = np.zeros(radix ** len(pairs), dtype=np.int64)
-        for start in range(0, shape[0], step):
-            left = rows(combo[0])[start:start + step] @ gram_np
-            products = {n: (left @ rows(n).T).astype(code_type) for n in set(combo[1:])}
-            chunk = buffer[:len(left)]
-            np.copyto(chunk, code)
+        run = [k for k in range(1, genus) if combo[k] == combo[0]]     # the later slots of slot 0's class
+        # pair (1, 2) once, at weight 1; pairs with slot 0 per chunk, one product per class
+        plane = rows(combo[1]) @ gram_np @ rows(combo[2]).T if genus == 3 else 0
+        code = (np.full([1] + shape[1:], trace_bound * sum(weights)) + plane).astype(code_type)
+        counts = np.zeros(genus * sentinel, dtype=np.int64)      # from sentinel up, left out and dropped
+        start = 0
+        while start < shape[0] - bool(run):     # a run tallies slot-0 indices below each run slot's only
+            width = [shape[k] - (start + 1 if k in run else 0) for k in range(1, genus)]
+            left = rows(combo[0])[start:start + max(1, TALLY_CHUNK // math.prod(width))] @ gram_np
+            products = {n: (left @ rows(n)[start + 1 if n == combo[0] else 0:].T).astype(code_type)
+                        for n in set(combo[1:])}
+            size = len(left) * math.prod(width)
+            if size > len(buffer):
+                buffer = np.empty(size, dtype=code_type)
+            chunk = buffer[:size].reshape([len(left)] + width)
+            np.copyto(chunk, code[(slice(None), *(slice(-w, None) for w in width))])
             for (i, j), w in zip(pairs, weights):
                 if not i:
-                    chunk += w * spread(products[combo[j]], 0, j)
+                    block = w * products[combo[j]]
+                    if j in run:            # row t's slot j at or below its own slot 0 (columns below t)
+                        np.copyto(block, sentinel, where=np.tri(*block.shape, -1, dtype=bool))
+                    chunk += spread(block, 0, j)
             counts += np.bincount(chunk.ravel(), minlength=len(counts))
+            start += len(left)
+        cube = counts[:sentinel].reshape((radix,) * len(pairs))
+        if run:     # the positive halves: slot 0 least, run slot k least (slots 0 and k swapped), or a tie
+            cube = cube + sum(permuted(cube, [k, *range(1, k), 0, *range(k + 1, genus)]) for k in run)
+            tie, every = combo[0] + trace_bound, np.arange(radix)      # the digit of t(x) G x
+            if genus == 3:      # (x, x, z) at (N, a, a), a = t(x) G z; a run of 3: x < z, also (x, z, x), (z, x, x)
+                digit = (plane + trace_bound).astype(code_type)
+                ties = np.bincount(digit[np.triu_indices(shape[0], 1)] if run[1:] else digit.ravel(), minlength=radix)
+                for axes in ((tie, every, every), (every, tie, every), (every, every, tie))[:2 * len(run) - 1]:
+                    cube[axes] += ties
+            if len(run) == genus - 1:       # (x, .., x)
+                cube[(tie,) * len(pairs)] += shape[0]
         # x_k -> -x_k reflects the digit of every pair holding k; s and -s give the same code
-        cube = counts.reshape((radix,) * len(pairs))
         return 2 * sum(np.flip(cube, [p for p, (i, j) in enumerate(pairs) if signs[i] != signs[j]])
                        for signs in product((0,), *[(0, 1)] * (genus - 1)))
 
     cubes = {combo: unfolded(combo) for combo in combos if list(combo) == sorted(combo)}
     for combo in combos:
         pos = np.argsort(np.argsort(combo, kind="stable")).tolist()    # axis k is axis pos[k] of the sorted combo
-        # so pair (i, j) is pair (pos[i], pos[j]) of the sorted combo, taken in increasing order: t(x) G y = t(y) G x
-        counts = np.transpose(cubes[tuple(sorted(combo))],
-                              [pairs.index(tuple(sorted((pos[i], pos[j])))) for i, j in pairs]).ravel()
+        counts = permuted(cubes[tuple(sorted(combo))], pos).ravel()
         for value in np.flatnonzero(counts).tolist():
             off = iter([value // w % radix - trace_bound for w in weights])
             key = tuple(combo[i] if i == j else next(off) for i in range(genus) for j in range(i, genus))

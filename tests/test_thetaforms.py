@@ -625,14 +625,38 @@ def test_tally_runs_once_per_multiset_in_int16():
     passes = 0
     for genus in (2, 3):                  # the genus-3 call tallies genus 2 for its zero rows
         for combo in combinations_with_replacement(sorted(halves), genus):
-            if sum(combo) <= 8:
-                step = max(1, thetaforms.TALLY_CHUNK // math.prod(halves[n] for n in combo[1:]))
-                passes += -(-halves[combo[0]] // step)
+            if sum(combo) > 8:
+                continue
+            # a run of slot 0's class: each chunk's run slots start above its first slot-0 index, and
+            # the last index has none above it
+            run = [k for k in range(1, genus) if combo[k] == combo[0]]
+            start = 0
+            while start < halves[combo[0]] - bool(run):
+                width = math.prod(halves[n] - (start + 1) * (k in run) for k, n in enumerate(combo) if k)
+                start += max(1, thetaforms.TALLY_CHUNK // width)
+                passes += 1
+            passes += genus == 3 and bool(run)     # the tie histogram of the (1, 2) plane
     with mock.patch.object(thetaforms.np, "bincount", counted):
         lattice_theta_coefficients(named_lattice("e8"), 3, 4)
-    # one pass set per ordering would take 577 passes: (4, 2, 2) alone takes 270
-    assert len(code_types) == passes == 178
+    # one pass set per ordering would take 577 passes: (4, 2, 2) alone takes 270; the full tally of each
+    # sorted combo took 178, (2, 2, 4) 120 of them, against 99 over its run and 1 for its ties
+    assert len(code_types) == passes == 133
     assert set(code_types) == {np.dtype(np.int16)}
+
+
+def test_run_of_three_tallies_each_triple_once():
+    bincount, tallied = np.bincount, []
+
+    def counted(codes, minlength=0):
+        if minlength >= 7 ** 3:           # a genus-3 pass at trace 3: radix 7, three pairs
+            tallied.append(int(np.count_nonzero(codes < 7 ** 3)))
+        return bincount(codes, minlength=minlength)
+
+    with mock.patch.object(thetaforms.np, "bincount", counted):
+        lattice_theta_coefficients(named_lattice("e8"), 3, 3)
+    # (2, 2, 2) is the only genus-3 combo: the triples of the 120-vector positive half whose first index
+    # is below the other two, sum of m^2 for m < 120, where the full tally counts 120^3 = 1,728,000
+    assert sum(tallied) == sum(m * m for m in range(120)) == 568820
 
 
 # the A3 root lattice (det 4, 12 roots) in an unreduced basis; a float Fincke-Pohst
