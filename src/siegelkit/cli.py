@@ -2,8 +2,8 @@
 machine-readable outputs.
 
 Exit codes: 0 all checks pass, 1 a check failed (diagnostics as JSON on
-stdout), 2 usage error, 3 numerical failure (a finite-difference step that
-fails the Richardson test, a failed factorization or solve, or another
+stdout), 2 usage error (a genus past the Hodge checks' JET_GENUS_LIMIT among
+them), 3 numerical failure (a failed factorization or solve, or another
 runtime failure).  Errors 2 and 3 print a JSON error on stderr.  A fixed
 --seed controls every randomized sample.
 
@@ -121,7 +121,7 @@ def _cmd_einstein_check(args):
     rng = np.random.default_rng(args.seed)
     samples = [SiegelPoint.scaled_identity(args.genus)]
     samples += [random_siegel_point(args.genus, rng) for _ in range(args.points - 1)]
-    return _emit(args, hodge.kahler_einstein_check(samples, h=args.step))
+    return _emit(args, hodge.kahler_einstein_check(samples))
 
 
 def _cmd_curvature_check(args):
@@ -265,7 +265,6 @@ def build_parser():
     p = leaf(sub, "einstein-check", _cmd_einstein_check, "Kaehler closedness and Einstein constant")
     p.add_argument("--genus", type=_count, default=2)
     p.add_argument("--points", type=_count, default=3)
-    p.add_argument("--step", type=float, default=1e-3)
 
     p = leaf(sub, "curvature-check", _cmd_curvature_check, "Hodge-bundle curvature identity")
     p.add_argument("--genus", type=_count, default=2)
@@ -333,7 +332,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (thetaforms.TruncationError, NotImplementedError) as err:
         return _error(err, 2)
-    except (hodge.StepSizeError, np.linalg.LinAlgError, RuntimeError) as err:
+    except (np.linalg.LinAlgError, RuntimeError) as err:
         return _error(err, 3)
     except ValueError as err:
         return _error(err, 2)

@@ -1,7 +1,7 @@
 """The Siegel upper half space, its symplectic action, and metric primitives.
 
 Numerical conventions: structural identities are enforced at 1e-12, algebraic
-identities at 1e-9, finite-difference claims at 1e-4.  The invariant metric is
+identities at 1e-9, and the Hodge checks' jet derivatives at 1e-10.  The invariant metric is
 normalized as  h_tau(X, Y) = Tr((Im tau)^{-1} X (Im tau)^{-1} conj(Y)); all
 comparisons against other homogeneous metrics are made up to one global
 positive constant.
