@@ -24,10 +24,16 @@ one run of the kernel over jets (_Jet) gives G_s, G_t and G_st along every pair
 of coordinate directions, and Omega[c, d] = G^{-1} G_t G^{-1} G_s - G^{-1} G_st
 with no step.  Plain arrays are the zero jet: one code computes both, and a
 jet's value part is the plain value byte for byte.
+
+The four single-point entries (hodge_metric_matrix, hodge_metric_tangent and
+both checks) read one frame Gram per point and kind from _point_grams, a
+read-only cache keyed on (g, the bytes of tau, jet or plain) with two entries:
+one point's jet and its plain Gram, so the checks at one point build each once.
+At g = 7 the two entries retain 2.6 MB, nearly all of it the jet's 840 parts.
 """
 
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -50,7 +56,7 @@ DW_BOUND = 1e-10
 EINSTEIN_BOUND = 1e-10
 CURVATURE_BOUND = 1e-10
 
-# the largest genus either check takes: one Einstein sample's jets peak at 93 MB under
+# the largest genus either check and hodge_metric_matrix take: one Einstein sample's jets peak at 93 MB under
 # tracemalloc at g = 7, and would at 257 MB at g = 8
 JET_GENUS_LIMIT = 7
 
@@ -94,9 +100,16 @@ class _Jet:
         self.v[key], self.d[(slice(None), *np.index_exp[key])] = getattr(x, "v", x), getattr(x, "d", 0)
 
     def conj(self):
-        m = self.m     # the s and t parts trade places, and st[c, d] takes conj(st[d, c])
-        swap = np.r_[m: 2 * m, :m, 2 * m + np.arange(m * m).reshape(m, m).T.ravel()]
-        return _Jet(self.v.conj(), self.d.conj()[swap])
+        return _Jet(self.v.conj(), self.d.conj()[_conj_swap(self.m)])
+
+
+@lru_cache(maxsize=8)
+def _conj_swap(m):
+    """The order of a jet's parts after conjugation, read-only: the s and t parts of its m directions
+    trade places, and st[c, d] takes conj(st[d, c])."""
+    swap = np.r_[m: 2 * m, :m, 2 * m + np.arange(m * m).reshape(m, m).T.ravel()]
+    swap.flags.writeable = False
+    return swap
 
 
 def _product(op, a, b):
@@ -243,7 +256,12 @@ def _frame_grams(taus):
 
 
 def _metric_stack(taus, dirs):
-    """Hodge metric matrices (P, m, m) against the directions ``dirs`` (m, g, g), or their jet.
+    """Hodge metric matrices (P, m, m) against the directions ``dirs`` (m, g, g), or their jet."""
+    return _grams_metric(_frame_grams(taus), dirs)
+
+
+def _grams_metric(grams, dirs):
+    """The metric matrices (P, m, m) against ``dirs`` (m, g, g) of the frame Grams ``grams``, or their jet.
 
     Entry (k, l) sums the pairings of the Higgs images of an H-orthonormal
     frame F S of F^1 along X_k and X_l.  With G the Gram matrix of F and Q
@@ -252,7 +270,6 @@ def _metric_stack(taus, dirs):
     one product of the (P, g^4) point terms with the (g^4, m^2) direction terms.
     """
     m, g = len(dirs), dirs.shape[-1]
-    grams = _frame_grams(taus)
     frame = grams[:, :g, :g]
     frame_inv = _inverse((frame + frame.conj().swapaxes(-1, -2)) / 2)
     terms = _product(_OUTER, grams[:, g:, g:], frame_inv.conj()).reshape(grams.shape[0], -1)
@@ -260,17 +277,41 @@ def _metric_stack(taus, dirs):
     return (out + out.conj().swapaxes(-1, -2)) / 2
 
 
+@lru_cache(maxsize=JET_GENUS_LIMIT)
 def _basis_stack(g):
-    return np.array([x.X for x in tangent_basis(g)])
+    """The coordinate directions X_c (m, g, g) of tangent_basis, read-only.  Refuses g > JET_GENUS_LIMIT:
+    every metric against them has (g^4, m^2) direction terms, so it grows as g^8."""
+    if g > JET_GENUS_LIMIT:
+        raise ValueError("the metric matrix and the Einstein and curvature checks are guarded to "
+                         f"g <= {JET_GENUS_LIMIT}")
+    dirs = np.array([x.X for x in tangent_basis(g)])
+    dirs.flags.writeable = False
+    return dirs
 
 
-def _tau_jet(tau):
-    """The jet of tau + s_c X_c as a stack of one point, and the coordinate directions X_c."""
-    if tau.g > JET_GENUS_LIMIT:
-        raise ValueError(f"the Einstein and curvature checks are guarded to g <= {JET_GENUS_LIMIT}")
-    dirs = _basis_stack(tau.g)
-    seed = np.concatenate([dirs[:, None], np.zeros((len(dirs) * (len(dirs) + 1), 1, tau.g, tau.g))])
-    return _Jet(tau.tau[None], seed), dirs
+def _tau_jet(taus):
+    """The jet of tau + s_c X_c at every point of a stack (P, g, g), along the coordinate directions X_c."""
+    dirs = _basis_stack(taus.shape[-1])
+    seed = np.zeros((len(dirs) * (len(dirs) + 2),) + taus.shape, complex)
+    seed[:len(dirs)] = dirs[:, None]
+    return _Jet(taus, seed)
+
+
+@lru_cache(maxsize=2)
+def _point_grams(g, tau_bytes, jet):
+    """_frame_grams of the one point whose complex128 entries are tau_bytes, as a stack (1, 2g, 2g),
+    read-only: plain, or with ``jet`` the jet of _tau_jet.  Two entries hold one point's jet and plain
+    Gram, which is all the checks at one point read; a point that raises caches nothing."""
+    taus = np.frombuffer(tau_bytes, dtype=complex).reshape(1, g, g)
+    grams = _frame_grams(_tau_jet(taus) if jet else taus)
+    for part in (grams.v, grams.d) if jet else (grams,):
+        part.flags.writeable = False
+    return grams
+
+
+def _point_metric(tau, dirs, jet):
+    """The metric matrices (1, m, m) at tau against ``dirs``, or their jet, from the point's cached Gram."""
+    return _grams_metric(_point_grams(tau.g, tau.tau.tobytes(), jet), dirs)
 
 
 def _chern_curvature(gram):
@@ -280,13 +321,23 @@ def _chern_curvature(gram):
 
 
 def hodge_metric_tangent(tau: SiegelPoint, x: TangentDirection, y: TangentDirection) -> complex:
-    """Inner product of Higgs images, in the metric induced on Hom(H^{1,0}, H^{0,1})."""
-    return complex(_metric_stack(tau.tau[None], np.array([x.X, y.X]))[0, 0, 1])
+    """Inner product of Higgs images, in the metric induced on Hom(H^{1,0}, H^{0,1}).
+
+    Reads the plain frame Gram of tau from the point cache (_point_grams), so the checks at one point
+    build it once.  Takes any genus: its two directions have (g^4, 4) direction terms, which grow as g^4,
+    not as the g^8 that guards hodge_metric_matrix.
+    """
+    return complex(_point_metric(tau, np.array([x.X, y.X]), False)[0, 0, 1])
 
 
 def hodge_metric_matrix(tau: SiegelPoint):
-    """Matrix of the induced metric against the coordinate tangent directions."""
-    return _metric_stack(tau.tau[None], _basis_stack(tau.g))[0]
+    """Matrix of the induced metric against the coordinate tangent directions.
+
+    Reads the plain frame Gram of tau from the point cache (_point_grams).  Refuses g > JET_GENUS_LIMIT
+    before anything is built or cached: its (g^4, m^2) direction terms, m = g(g + 1)/2, take 57.5 MB
+    at g = 7 and would take 162 MB at g = 8.
+    """
+    return _point_metric(tau, _basis_stack(tau.g), False)[0]
 
 
 def kahler_einstein_check(tau_samples):
@@ -296,13 +347,15 @@ def kahler_einstein_check(tau_samples):
     gives d G and Ricci = -tr Omega.  Returns the worst d(omega) residual, the per-sample
     Einstein constants (Ricci = lambda G), the worst Einstein residual, and the verdict "pass":
     all three within LAMBDA_SPREAD_BOUND (relative spread of the constants), DW_BOUND and
-    EINSTEIN_BOUND.  Refuses g > JET_GENUS_LIMIT.
+    EINSTEIN_BOUND.  The jet and the plain frame Gram of each sample come from the point cache
+    (_point_grams), which the curvature check and the metric at the same point then read again.
+    Refuses g > JET_GENUS_LIMIT.
     """
     if not tau_samples:
         raise ValueError("the Einstein check needs at least one sample point")
     lambdas, dw_residual, einstein_residual = [], 0.0, 0.0
     for tau in tau_samples:
-        metric = _metric_stack(*_tau_jet(tau))
+        metric = _point_metric(tau, _basis_stack(tau.g), True)
         # d(omega) = 0 reduces to the symmetry of holomorphic derivatives
         d_gram = metric.s[:, 0]
         dw_residual = max(dw_residual, float(np.max(np.abs(d_gram - d_gram.swapaxes(0, 1)))))
@@ -342,8 +395,8 @@ def higgs_curvature_identity_check(tau: SiegelPoint):
     could not fail.
     """
     g = tau.g
-    taus, dirs = _tau_jet(tau)
-    gram = _frame_grams(taus)
+    dirs = _basis_stack(g)
+    gram = _point_grams(g, tau.tau.tobytes(), True)
     theta = np.zeros((len(dirs), 2 * g, 2 * g), dtype=complex)
     theta[:, g:, :g] = dirs        # quotient-frame matrix of theta(X) is X itself
     # adjoint under <u, v> = t(u) G conj(v)

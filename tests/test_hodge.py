@@ -1,6 +1,8 @@
 import itertools
 import json
 import tracemalloc
+from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -235,17 +237,10 @@ def test_ricci_trace_matches_the_log_det_reference(g):
     # the jets' Ricci form against the finite-difference reference, within its O(h^2) truncation error
     rng = np.random.default_rng(60 + g)
     for tau in [SiegelPoint.scaled_identity(g)] + [random_siegel_point(g, rng) for _ in range(3)]:
-        omega = hodge._chern_curvature(_metric_stack(*hodge._tau_jet(tau)))[:, :, 0]
+        jet = hodge._tau_jet(tau.tau[None])
+        omega = hodge._chern_curvature(_metric_stack(jet, hodge._basis_stack(g)))[:, :, 0]
         ricci, reference = -np.trace(omega, axis1=-2, axis2=-1), _log_det_ricci(tau)
         assert np.max(np.abs(ricci - reference)) <= 1e-5 * np.max(np.abs(reference))
-
-
-def _stack_jet(taus, dirs):
-    """The jet of tau + s_c X_c at every point of a stack."""
-    m = len(dirs)
-    seed = np.zeros((m * (m + 2),) + taus.shape, complex)
-    seed[:m] = dirs[:, None]
-    return hodge._Jet(taus, seed)
 
 
 @pytest.mark.parametrize("g", [1, 2, 3])
@@ -254,10 +249,10 @@ def test_jet_value_part_is_the_plain_kernel_byte_for_byte(g):
     dirs = np.array([x.X for x in tangent_basis(g)])
     points = [SiegelPoint.scaled_identity(g)] + [random_siegel_point(g, rng) for _ in range(3)]
     taus = np.array([tau.tau for tau in points])
-    assert _frame_grams(_stack_jet(taus, dirs)).v.tobytes() == _frame_grams(taus).tobytes()
-    assert _metric_stack(_stack_jet(taus, dirs), dirs).v.tobytes() == _metric_stack(taus, dirs).tobytes()
+    assert _frame_grams(hodge._tau_jet(taus)).v.tobytes() == _frame_grams(taus).tobytes()
+    assert _metric_stack(hodge._tau_jet(taus), dirs).v.tobytes() == _metric_stack(taus, dirs).tobytes()
     for tau in points:
-        jet, _ = hodge._tau_jet(tau)
+        jet = hodge._tau_jet(tau.tau[None])
         assert _frame_grams(jet).v.tobytes() == _frame_grams(tau.tau[None]).tobytes()
         assert _metric_stack(jet, dirs).v[0].tobytes() == hodge_metric_matrix(tau).tobytes()
 
@@ -271,7 +266,7 @@ def test_jet_first_parts_match_central_differences_of_the_plain_kernel(g):
     taus = np.array([SiegelPoint.scaled_identity(g).tau] + [random_siegel_point(g, rng).tau for _ in range(2)])
     h = 1e-5
     for kernel in (_frame_grams, lambda t: _metric_stack(t, dirs)):
-        jet = kernel(_stack_jet(taus, dirs))
+        jet = kernel(hodge._tau_jet(taus))
         scale = np.max(np.abs(jet.v))
         for c, x in enumerate(dirs):
             dx = (kernel(taus + h * x) - kernel(taus - h * x)) / (2 * h)
@@ -287,6 +282,115 @@ def test_curvature_identity_holds_to_rounding_at_genus_1_to_4(g):
         report = higgs_curvature_identity_check(tau)
         assert report["curvature_residual"] <= hodge.CURVATURE_BOUND
         assert report["pass"] is True
+
+
+# --- one frame Gram per point and kind -------------------------------------------
+
+
+def _entries(tau, x, y):
+    """The four single-point entries at tau, each as a thunk of its bytes."""
+    return [lambda: json.dumps(kahler_einstein_check([tau])).encode(),
+            lambda: json.dumps(higgs_curvature_identity_check(tau)).encode(),
+            lambda: hodge_metric_matrix(tau).tobytes(),
+            lambda: np.complex128(hodge_metric_tangent(tau, x, y)).tobytes()]
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_cached_entries_are_byte_identical_to_cold_ones(g):
+    rng = np.random.default_rng(130 + g)
+    for tau in [SiegelPoint.scaled_identity(g)] + [random_siegel_point(g, rng) for _ in range(3)]:
+        entries = _entries(tau, random_tangent(g, rng), random_tangent(g, rng))
+        cold = []
+        for entry in entries:
+            hodge._point_grams.cache_clear()
+            cold.append(entry())
+        [entry() for entry in entries]
+        info = hodge._point_grams.cache_info()
+        assert [entry() for entry in entries] == cold
+        assert hodge._point_grams.cache_info().misses == info.misses       # every Gram read warm
+
+
+def test_the_checks_at_one_point_build_one_jet_and_one_plain_gram():
+    # the Einstein check, the Hodge metric along each coordinate direction and the curvature
+    # check at one point, as a period-geometry op runs them
+    tau = random_siegel_point(2, np.random.default_rng(140))
+    hodge._point_grams.cache_clear()
+    with mock.patch.object(hodge, "_frame_grams", wraps=_frame_grams) as kernel:
+        kahler_einstein_check([tau])
+        for x in tangent_basis(2):
+            hodge_metric_tangent(tau, x, x)
+        higgs_curvature_identity_check(tau)
+    assert [isinstance(call.args[0], hodge._Jet) for call in kernel.call_args_list] == [True, False]
+
+
+def test_cached_grams_and_memos_are_read_only():
+    tau = SiegelPoint.scaled_identity(2)
+    kahler_einstein_check([tau])
+    plain, jet = (hodge._point_grams(2, tau.tau.tobytes(), kind) for kind in (False, True))
+    for array in (plain, jet.v, jet.d, hodge._basis_stack(2), hodge._conj_swap(3)):
+        with pytest.raises(ValueError):
+            array[(0,) * array.ndim] = 0
+
+
+def test_a_point_one_ulp_away_gets_its_own_grams():
+    tau = random_siegel_point(2, np.random.default_rng(150))
+    near = tau.tau.copy()
+    near[0, 0] = complex(near[0, 0].real, np.nextafter(near[0, 0].imag, 2.0))
+    moved = SiegelPoint(2, near)
+    hodge_metric_matrix(tau)
+    misses = hodge._point_grams.cache_info().misses
+    got = hodge_metric_matrix(moved)
+    assert hodge._point_grams.cache_info().misses == misses + 1
+    assert got.tobytes() == _metric_stack(near[None], hodge._basis_stack(2))[0].tobytes()
+
+
+def test_a_point_that_raises_caches_nothing():
+    hodge._point_grams.cache_clear()
+    ill, flipped = SiegelPoint.scaled_identity(2, 1e-9), (-1j * np.eye(2)).tobytes()
+    for _ in range(2):      # nothing is cached by a raising call, so the second raises too
+        with pytest.raises(ValueError, match="ill-conditioned"):
+            hodge_metric_matrix(ill)
+        with pytest.raises(ValueError, match="ill-conditioned"):
+            kahler_einstein_check([ill])
+        for jet in (False, True):
+            with pytest.raises(ValueError, match="positive definite"):
+                hodge._point_grams(2, flipped, jet)
+    assert hodge._point_grams.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("m", [1, 3, 6])
+def test_jet_conjugation_swaps_the_parts_and_undoes_itself(m):
+    rng = np.random.default_rng(160 + m)
+    shape = (m * (m + 2), 2, 3, 3)
+    jet = hodge._Jet(rng.standard_normal(shape[1:]) + 1j * rng.standard_normal(shape[1:]),
+                     rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    once, twice = jet.conj(), jet.conj().conj()
+    assert once.s.tobytes() == jet.t.conj().tobytes() and once.t.tobytes() == jet.s.conj().tobytes()
+    assert once.st.tobytes() == jet.st.swapaxes(0, 1).conj().tobytes()
+    assert twice.v.tobytes() == jet.v.tobytes() and twice.d.tobytes() == jet.d.tobytes()
+
+
+def test_metric_matrix_guard_refuses_before_anything_is_built(monkeypatch):
+    def kernel(*args):
+        raise AssertionError("the genus guard must fire before any kernel runs")
+
+    monkeypatch.setattr(hodge, "_frame_grams", kernel)
+    monkeypatch.setattr(hodge, "_grams_metric", kernel)
+    past = SiegelPoint.scaled_identity(hodge.JET_GENUS_LIMIT + 1)
+    cached = hodge._point_grams.cache_info().currsize, hodge._basis_stack.cache_info().currsize
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"g <= {hodge.JET_GENUS_LIMIT}"):
+            hodge_metric_matrix(past)
+        assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()
+    assert (hodge._point_grams.cache_info().currsize, hodge._basis_stack.cache_info().currsize) == cached
+    # two directions past the limit are taken: their direction terms grow as g^4
+    monkeypatch.undo()
+    x, y = tangent_basis(past.g)[:2]
+    expected = _metric_stack(past.tau[None], np.array([x.X, y.X]))[0, 0, 1]
+    assert hodge_metric_tangent(past, x, y) == expected
 
 
 def test_kernel_checks_every_point():
@@ -331,8 +435,8 @@ def test_genus_guard_refuses_before_any_jet_is_built(capsys, monkeypatch, check,
     captured = capsys.readouterr()
     assert captured.out == "" and f"g <= {hodge.JET_GENUS_LIMIT}" in json.loads(captured.err)["error"]
     # the limit itself is taken: its seed is built
-    jet, dirs = hodge._tau_jet(SiegelPoint.scaled_identity(hodge.JET_GENUS_LIMIT))
-    assert jet.s.tobytes() == dirs[:, None].tobytes()
+    jet = hodge._tau_jet(SiegelPoint.scaled_identity(hodge.JET_GENUS_LIMIT).tau[None])
+    assert jet.s.tobytes() == hodge._basis_stack(hodge.JET_GENUS_LIMIT)[:, None].tobytes()
 
 
 def test_decomposition_condition_guard():
@@ -385,7 +489,13 @@ def test_split_guard_edge_at_genus_two():
 # --- the verdicts can fail ------------------------------------------------------
 # Each perturbation moves one measurement past its bound; the bounds stay as
 # they are.  i I is the first sample of every run, and every perturbed metric
-# keeps its value there.
+# keeps its value there.  The checks read the metric at a point through
+# _point_metric and the frame Gram through _point_grams, which calls _frame_grams.
+
+
+def _point_taus(tau, jet):
+    """The stack of one point that the point cache builds its Gram from: tau, or its jet."""
+    return hodge._tau_jet(tau.tau[None]) if jet else tau.tau[None]
 
 
 def _lambda_drift():
@@ -398,20 +508,23 @@ def _shear():
     # (I + Re(tau_00 - i) N) M with N nilpotent keeps det M, so Ricci and
     # lambda hold, while d/dz_0 of row 1 gains a term that d/dz_1 of row 0 lacks;
     # on the jets the checks pass in, the factor Re(tau_00 - i) is a jet too
-    def kernel(taus, dirs):
-        metrics = _metric_stack(taus, dirs)
+    point_metric = hodge._point_metric
+
+    def kernel(tau, dirs, jet):
+        metrics = point_metric(tau, dirs, jet)
         shear = np.zeros((len(dirs), len(dirs)))
         shear[1, 0] = 1e-2
-        return metrics + (taus[:, 0, 0] + -1j).real[:, None, None] * (shear @ metrics)
-    return "_metric_stack", kernel
+        return metrics + (_point_taus(tau, jet)[:, 0, 0] + -1j).real[:, None, None] * (shear @ metrics)
+    return "_point_metric", kernel
 
 
 def _conformal(name, kernel, scale=0.1):
     # 1 + scale |tau_00 - i|^2, a jet product on jets, adds a curvature term; at i I it
-    # changes neither the value nor the first derivatives
-    def perturbed(taus, *rest):
-        u = taus[:, 0, 0] + -1j
-        return kernel(taus, *rest) * (u * u.conj() * scale + 1)[:, None, None]
+    # changes neither the value nor the first derivatives.  _frame_grams takes the stack
+    # of points, _point_metric the point, its directions and whether to take the jet
+    def perturbed(*args):
+        u = (args[0] if len(args) == 1 else _point_taus(args[0], args[2]))[:, 0, 0] + -1j
+        return kernel(*args) * (u * u.conj() * scale + 1)[:, None, None]
     return lambda: (name, perturbed)
 
 
@@ -425,14 +538,14 @@ def _spread(report):
      _spread, hodge.LAMBDA_SPREAD_BOUND, ["einstein-check"]),
     (_shear, lambda: kahler_einstein_check([SiegelPoint.scaled_identity(2)]),
      lambda r: r["dw_residual"], hodge.DW_BOUND, ["einstein-check", "--points", "1"]),
-    (_conformal("_metric_stack", _metric_stack),
+    (_conformal("_point_metric", hodge._point_metric),
      lambda: kahler_einstein_check([SiegelPoint.scaled_identity(2)]),
      lambda r: r["einstein_residual"], hodge.EINSTEIN_BOUND, ["einstein-check", "--points", "1"]),
     (_conformal("_frame_grams", _frame_grams),
      lambda: higgs_curvature_identity_check(SiegelPoint.scaled_identity(2)),
      lambda r: r["curvature_residual"], hodge.CURVATURE_BOUND, ["curvature-check"]),
     # 1e-5 times the conformal term: within the finite-difference bounds of 1e-3, past these
-    (_conformal("_metric_stack", _metric_stack, 1e-6),
+    (_conformal("_point_metric", hodge._point_metric, 1e-6),
      lambda: kahler_einstein_check([SiegelPoint.scaled_identity(2)]),
      lambda r: r["einstein_residual"], hodge.EINSTEIN_BOUND, ["einstein-check", "--points", "1"]),
     (_conformal("_frame_grams", _frame_grams, 1e-6),
@@ -444,6 +557,10 @@ def test_verdict_fails_when_a_measurement_exceeds_its_bound(
         capsys, monkeypatch, perturb, check, measured, bound, argv):
     assert check()["pass"] is True
     monkeypatch.setattr(hodge, *perturb())
+    # the passing check cached i I's Grams: a fresh point cache, dropped with the patches, makes the
+    # perturbed checks build them again and keeps their Grams from the checks that follow
+    fresh = lru_cache(**hodge._point_grams.cache_parameters())(hodge._point_grams.__wrapped__)
+    monkeypatch.setattr(hodge, "_point_grams", fresh)
     report = check()
     assert measured(report) > bound
     assert report["pass"] is False
