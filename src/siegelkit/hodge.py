@@ -12,9 +12,8 @@ refused when ||R||_F ||R^{-1}||_F, an upper bound for its condition number
 (within a factor 2g), exceeds DECOMPOSITION_COND_LIMIT.  F = (tau; I) and
 R = [[Re tau, Im tau], [I, 0]] are assembled by blocks, and J, a signed
 permutation, is applied as a signed block swap, so t(J) R t(J) is exact and
-no product with J is formed.  The metric against m directions
-is one contraction, Tr(t(X_k) Q conj(X_l G^{-1})), of the (P, g^4) point terms
-with the (g^4, m^2) direction terms.
+no product with J is formed.  Entry (k, l) of the metric against m directions
+is Tr(t(X_k) Q conj(X_l G^{-1})), contracted per point from t(X_k) Q and conj(X_l G^{-1}).
 
 Both curvature claims are one computation, the Chern curvature
 Omega = -dbar(G^{-1} dG), on two bundles: the tangent bundle with the Hodge
@@ -56,13 +55,12 @@ DW_BOUND = 1e-10
 EINSTEIN_BOUND = 1e-10
 CURVATURE_BOUND = 1e-10
 
-# the largest genus either check and hodge_metric_matrix take: one Einstein sample's jets peak at 93 MB under
-# tracemalloc at g = 7, and would at 257 MB at g = 8
+# the largest genus either check takes: one Einstein sample's jets peak at 68.7 MiB under tracemalloc at
+# g = 7, and would at 184 MiB at g = 8
 JET_GENUS_LIMIT = 7
 
 # the signs of the blocks [[-D, C], [B, -A]] of t(J) R t(J), as (row block, 1, column block, 1)
 _BLOCK_SWAP_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0]).reshape(2, 1, 2, 1)
-_OUTER = partial(np.einsum, "...bc,...da->...bcda")     # the point terms Q_bc conj(G^{-1})_da of _metric_stack
 
 
 class _Jet:
@@ -265,32 +263,31 @@ def _grams_metric(grams, dirs):
 
     Entry (k, l) sums the pairings of the Higgs images of an H-orthonormal
     frame F S of F^1 along X_k and X_l.  With G the Gram matrix of F and Q
-    that of conj(F) B, and S S* = G^{-1}, it is Tr(t(X_k) Q conj(X_l G^{-1})):
-    the sum over (b, c, d, a) of Q_bc conj(G^{-1})_da against X_k[b, a] conj(X_l)[c, d],
-    one product of the (P, g^4) point terms with the (g^4, m^2) direction terms.
+    that of conj(F) B, and S S* = G^{-1}, it is Tr(t(X_k) Q conj(X_l G^{-1})).  G^{-1} is
+    Hermitian, so conj(X_l G^{-1}) = conj(X_l) t(G^{-1}), which needs no conjugate of a jet.
     """
-    m, g = len(dirs), dirs.shape[-1]
+    g = dirs.shape[-1]
     frame = grams[:, :g, :g]
     frame_inv = _inverse((frame + frame.conj().swapaxes(-1, -2)) / 2)
-    terms = _product(_OUTER, grams[:, g:, g:], frame_inv.conj()).reshape(grams.shape[0], -1)
-    out = (terms @ np.einsum("kba,lcd->bcdakl", dirs, dirs.conj()).reshape(-1, m * m)).reshape(-1, m, m)
+    left = dirs.swapaxes(-1, -2) @ grams[:, None, g:, g:]
+    right = dirs.conj() @ frame_inv.swapaxes(-1, -2)[:, None]
+    out = _product(partial(np.einsum, "...kac,...lca->...kl"), left, right)
     return (out + out.conj().swapaxes(-1, -2)) / 2
 
 
-@lru_cache(maxsize=JET_GENUS_LIMIT)
+@lru_cache(maxsize=8)
 def _basis_stack(g):
-    """The coordinate directions X_c (m, g, g) of tangent_basis, read-only.  Refuses g > JET_GENUS_LIMIT:
-    every metric against them has (g^4, m^2) direction terms, so it grows as g^8."""
-    if g > JET_GENUS_LIMIT:
-        raise ValueError("the metric matrix and the Einstein and curvature checks are guarded to "
-                         f"g <= {JET_GENUS_LIMIT}")
+    """The coordinate directions X_c (m, g, g) of tangent_basis, read-only."""
     dirs = np.array([x.X for x in tangent_basis(g)])
     dirs.flags.writeable = False
     return dirs
 
 
 def _tau_jet(taus):
-    """The jet of tau + s_c X_c at every point of a stack (P, g, g), along the coordinate directions X_c."""
+    """The jet of tau + s_c X_c at every point of a stack (P, g, g), along the coordinate directions X_c.
+    Refuses g > JET_GENUS_LIMIT before the seed is built: a jet has m(m + 2) parts, m = g(g + 1)/2."""
+    if taus.shape[-1] > JET_GENUS_LIMIT:
+        raise ValueError(f"the Einstein and curvature checks are guarded to g <= {JET_GENUS_LIMIT}")
     dirs = _basis_stack(taus.shape[-1])
     seed = np.zeros((len(dirs) * (len(dirs) + 2),) + taus.shape, complex)
     seed[:len(dirs)] = dirs[:, None]
@@ -324,8 +321,7 @@ def hodge_metric_tangent(tau: SiegelPoint, x: TangentDirection, y: TangentDirect
     """Inner product of Higgs images, in the metric induced on Hom(H^{1,0}, H^{0,1}).
 
     Reads the plain frame Gram of tau from the point cache (_point_grams), so the checks at one point
-    build it once.  Takes any genus: its two directions have (g^4, 4) direction terms, which grow as g^4,
-    not as the g^8 that guards hodge_metric_matrix.
+    build it once.
     """
     return complex(_point_metric(tau, np.array([x.X, y.X]), False)[0, 0, 1])
 
@@ -333,9 +329,7 @@ def hodge_metric_tangent(tau: SiegelPoint, x: TangentDirection, y: TangentDirect
 def hodge_metric_matrix(tau: SiegelPoint):
     """Matrix of the induced metric against the coordinate tangent directions.
 
-    Reads the plain frame Gram of tau from the point cache (_point_grams).  Refuses g > JET_GENUS_LIMIT
-    before anything is built or cached: its (g^4, m^2) direction terms, m = g(g + 1)/2, take 57.5 MB
-    at g = 7 and would take 162 MB at g = 8.
+    Reads the plain frame Gram of tau from the point cache (_point_grams).
     """
     return _point_metric(tau, _basis_stack(tau.g), False)[0]
 

@@ -92,8 +92,6 @@ def tangent_basis(g):
             x = np.zeros((g, g), dtype=complex)
             x[i, j] = 1
             x[j, i] = 1
-            if i == j:
-                x[i, i] = 1
             out.append(TangentDirection(g, x))
     return out
 

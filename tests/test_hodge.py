@@ -149,7 +149,7 @@ def test_real_splitting_matrix_has_the_condition_number_of_the_complex_one(g):
         assert abs(real - complex_) <= 1e-12 * complex_
 
 
-@pytest.mark.parametrize("g", [2, 3])
+@pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
 def test_metric_contraction_matches_the_einsum_reference(g):
     rng = np.random.default_rng(80 + g)
     taus = np.array([random_siegel_point(g, rng).tau for _ in range(4)])
@@ -371,27 +371,22 @@ def test_jet_conjugation_swaps_the_parts_and_undoes_itself(m):
     assert twice.v.tobytes() == jet.v.tobytes() and twice.d.tobytes() == jet.d.tobytes()
 
 
-def test_metric_matrix_guard_refuses_before_anything_is_built(monkeypatch):
-    def kernel(*args):
-        raise AssertionError("the genus guard must fire before any kernel runs")
-
-    monkeypatch.setattr(hodge, "_frame_grams", kernel)
-    monkeypatch.setattr(hodge, "_grams_metric", kernel)
-    past = SiegelPoint.scaled_identity(hodge.JET_GENUS_LIMIT + 1)
-    cached = hodge._point_grams.cache_info().currsize, hodge._basis_stack.cache_info().currsize
+def test_metric_matrix_takes_a_genus_past_the_jet_limit():
+    past = hodge.JET_GENUS_LIMIT + 1
+    tau = random_siegel_point(past, np.random.default_rng(170))
+    basis = tangent_basis(past)
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match=f"g <= {hodge.JET_GENUS_LIMIT}"):
-            hodge_metric_matrix(past)
-        assert tracemalloc.get_traced_memory()[1] < 2**20
+        got = hodge_metric_matrix(tau)
+        assert tracemalloc.get_traced_memory()[1] < 4 * 2**20
     finally:
         tracemalloc.stop()
-    assert (hodge._point_grams.cache_info().currsize, hodge._basis_stack.cache_info().currsize) == cached
-    # two directions past the limit are taken: their direction terms grow as g^4
-    monkeypatch.undo()
-    x, y = tangent_basis(past.g)[:2]
-    expected = _metric_stack(past.tau[None], np.array([x.X, y.X]))[0, 0, 1]
-    assert hodge_metric_tangent(past, x, y) == expected
+    expected = np.array([[hodge_metric_tangent(tau, x, y) for y in basis] for x in basis])
+    assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+    # two directions past the limit are taken too
+    x, y = basis[:2]
+    pair = _metric_stack(tau.tau[None], np.array([x.X, y.X]))[0, 0, 1]
+    assert hodge_metric_tangent(tau, x, y) == pair
 
 
 def test_kernel_checks_every_point():
@@ -423,7 +418,7 @@ def test_genus_guard_refuses_before_any_jet_is_built(capsys, monkeypatch, check,
         raise AssertionError("the genus guard must fire before any kernel runs")
 
     monkeypatch.setattr(hodge, "_frame_grams", kernel)
-    monkeypatch.setattr(hodge, "_metric_stack", kernel)
+    monkeypatch.setattr(hodge, "_grams_metric", kernel)
     past = hodge.JET_GENUS_LIMIT + 1
     tracemalloc.start()
     try:
