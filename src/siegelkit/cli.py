@@ -94,6 +94,8 @@ def _json_default(obj):
 
 
 def _cmd_metric_check(args):
+    if not 0 <= args.tolerance < np.inf:      # spread > nan is never true
+        raise ValueError(f"--tolerance must be finite and non-negative, got {args.tolerance}")
     rng = np.random.default_rng(args.seed)
     rows = [("tau_id", "direction_id", "bergman", "hodge", "ratio")]
     ratios = []

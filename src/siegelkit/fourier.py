@@ -1,8 +1,9 @@
 """Fourier-expansion arithmetic for Siegel modular forms.
 
 Expansions are finite tables indexed by half-integral positive semidefinite
-matrices A (stored through 2A, which is integral); coefficients are exact
-integers whenever the construction allows.  Keys are canonicalized as the
+matrices A (stored through 2A, integral with an even diagonal): a level-n table
+holds the c(A) of f(tau) = sum c(A) exp((2 pi i / n) Tr(A tau)).  Coefficients
+are exact integers whenever the construction allows.  Keys are canonicalized as the
 upper triangle of 2A in row-major order, which fixes serialization and merge
 order once and for all.
 """
@@ -22,13 +23,15 @@ from .siegelspace import SiegelPoint
 
 @dataclass(frozen=True)
 class HalfIntegralMatrix:
-    """A symmetric matrix A with 2A integral and A positive semidefinite."""
+    """A symmetric matrix A with 2A integral, its diagonal even, and A positive semidefinite."""
 
     g: int
     twoA: tuple
 
     def __post_init__(self):
         rows = exact.symmetric_integers(self.twoA, self.g, "twoA")
+        if any(rows[i][i] % 2 for i in range(self.g)):
+            raise ValueError("twoA must have an even diagonal: A is half-integral")
         object.__setattr__(self, "twoA", rows)
         if exact.symmetric_pivots(rows) is None:
             raise ValueError("A must be positive semidefinite")
@@ -155,14 +158,14 @@ class FourierExpansion:
 
 
 def evaluate(f: FourierExpansion, tau: SiegelPoint) -> complex:
-    """Sum c(A) exp((i pi / n) Tr(A tau)) over the stored support."""
+    """Sum c(A) exp((2 pi i / n) Tr(A tau)) over the stored support."""
     if tau.g != f.g:
         raise ValueError("genus mismatch")
     if not f.coeffs:
         raise ValueError("expansion has empty support")
     total = 0j
     for a, c in f.items():
-        tr = sum(a.twoA[i][j] * tau.tau[j, i] for i in range(f.g) for j in range(f.g)) / 2
+        tr = sum(a.twoA[i][j] * tau.tau[j, i] for i in range(f.g) for j in range(f.g))    # Tr(2A tau)
         total += c * cmath.exp(1j * math.pi * tr / f.level)
     return total
 
@@ -192,11 +195,14 @@ class SlashContext:
 
 
 def symmetry_check(f: FourierExpansion, ctx: SlashContext, tol=1e-9):
-    """Violations of c(tVAV) = det(V)^k exp(-(i pi / n) Tr(AVU)) c(A).
+    """Violations of c(tVAV) = det(V)^k exp(-(2 pi i / n) Tr(AVU)) c(A).
 
     Only indices whose transform stays inside the truncation window are
-    compared; returns a list of (A, residual) pairs, empty meaning pass.
+    compared; returns a list of (A, residual) pairs, empty meaning pass.  A
+    NaN, infinite or negative tol is refused: no residual would exceed it.
     """
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tolerance must be finite and non-negative, got {tol}")
     v, u = ctx.V, ctx.U
     if len(v) != f.g:
         raise ValueError(f"M(V, U) has degree {len(v)} but the expansion has genus {f.g}")
@@ -209,10 +215,9 @@ def symmetry_check(f: FourierExpansion, ctx: SlashContext, tol=1e-9):
         if tr2 > f.trace_bound:
             continue
         image = HalfIntegralMatrix(f.g, transported)
-        # Tr(AVU) with A = twoA / 2: int true division rounds the exact half once
-        avu = exact.mat_mul(exact.mat_mul(two_a, v), u)
-        tr_avu = sum(avu[i][i] for i in range(f.g)) / 2
-        phase = cmath.exp(-1j * math.pi * tr_avu / f.level)
+        # 2 pi Tr(AVU) = pi Tr(2A VU), with Tr(2A VU) exact
+        two_avu = exact.mat_mul(exact.mat_mul(two_a, v), u)
+        phase = cmath.exp(-1j * math.pi * sum(two_avu[i][i] for i in range(f.g)) / f.level)
         expected = (float(det_v) ** f.weight) * phase * complex(c)
         got = complex(f.coefficient(image))
         if abs(got - expected) > tol:

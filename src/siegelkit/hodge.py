@@ -3,9 +3,9 @@
 The metric on tangent directions is obtained by pushing a direction through
 the derivative of the Hodge filtration (the Higgs map) and taking the inner
 product psi(C u, conj v) induced by the polarization and the Weil operator C.
-One private kernel evaluates these pairings for a whole stack of points tau
-from one real inverse per point: with F = (tau; I) and R = [Re F, Im F], the
-unitary W = [[I, -iI], [I, iI]] / sqrt(2) gives [F, conj F]^{-1} = W R^{-1} / sqrt(2),
+One private kernel evaluates these pairings at a point tau from one real
+inverse: with F = (tau; I) and R = [Re F, Im F], the unitary
+W = [[I, -iI], [I, iI]] / sqrt(2) gives [F, conj F]^{-1} = W R^{-1} / sqrt(2),
 so R^{-1} holds the H^{0,1}-components that the Higgs map needs, and the Weil
 operator is the real R t(J) R^{-1}.  The splitting V_C = F^1 + conj(F^1) is
 refused when ||R||_F ||R^{-1}||_F, an upper bound for its condition number
@@ -13,7 +13,7 @@ refused when ||R||_F ||R^{-1}||_F, an upper bound for its condition number
 R = [[Re tau, Im tau], [I, 0]] are assembled by blocks, and J, a signed
 permutation, is applied as a signed block swap, so t(J) R t(J) is exact and
 no product with J is formed.  Entry (k, l) of the metric against m directions
-is Tr(t(X_k) Q conj(X_l G^{-1})), contracted per point from t(X_k) Q and conj(X_l G^{-1}).
+is Tr(t(X_k) Q conj(X_l G^{-1})), contracted from t(X_k) Q and conj(X_l G^{-1}).
 
 Both curvature claims are one computation, the Chern curvature
 Omega = -dbar(G^{-1} dG), on two bundles: the tangent bundle with the Hodge
@@ -139,18 +139,17 @@ def _empty(like, shape, dtype):
 
 
 def _split_inverse(f):
-    """R = [Re F, Im F] and R^{-1}, for F single (2g, g) or stacked (P, 2g, g), or their jets.
+    """R = [Re F, Im F] and R^{-1}, for F (2g, g) or its jet.
 
     ||R||_F ||R^{-1}||_F lies in [cond_2(R), 2g cond_2(R)], so the limit refuses every F whose
     condition number exceeds it (and a NaN, which fails the <=).
     """
     g = f.shape[-1]
-    real = _empty(f, f.shape[:-1] + (2 * g,), float)
-    real[..., :g], real[..., g:] = f.real, f.imag
+    real = _empty(f, (2 * g, 2 * g), float)
+    real[:, :g], real[:, g:] = f.real, f.imag
     inv = _inverse(real)
     r, i = getattr(real, "v", real), getattr(inv, "v", inv)     # a jet's value, or the array itself
-    frobenius = np.einsum("...ij,...ij->...", r, r) * np.einsum("...ij,...ij->...", i, i)
-    if not np.max(frobenius) <= DECOMPOSITION_COND_LIMIT**2:
+    if not np.einsum("ij,ij->", r, r) * np.einsum("ij,ij->", i, i) <= DECOMPOSITION_COND_LIMIT**2:
         raise ValueError("F^1 and conj(F^1) do not split V_C (ill-conditioned)")
     return real, inv
 
@@ -224,42 +223,36 @@ def kodaira_spencer(tau: SiegelPoint, x: TangentDirection) -> HiggsElement:
     return HiggsElement(tau.g, _higgs_matrices(tau, x.X[None])[0])
 
 
-# --- the stacked kernel --------------------------------------------------------
+# --- the frame kernel ----------------------------------------------------------
 
 
-def _frame_grams(taus):
-    """Gram matrices under psi(C u, conj v) of the frame (F, conj(F) B), stacked.
+def _frame_grams(tau):
+    """Gram matrix (2g, 2g) under psi(C u, conj v) of the frame (F, conj(F) B) at tau (g, g), or its jet.
 
-    ``taus`` has shape (P, g, g), or is the jet of such a stack.  F = (tau; I)
-    spans E^{1,0} = F^1; B holds the H^{0,1}-components of the first g
-    coordinate vectors, so conj(F) B
-    represents E^{0,1} = V/F^1, and conj(F) B X is the Higgs image of F along
-    X.  Both B = (R^{-1}[:g, :g] + i R^{-1}[g:, :g]) / 2 and the Weil operator
-    C = R t(J) R^{-1} come from one real inverse of R = [Re F, Im F].  Every point
+    F = (tau; I) spans E^{1,0} = F^1; B holds the H^{0,1}-components of the
+    first g coordinate vectors, so conj(F) B represents E^{0,1} = V/F^1, and
+    conj(F) B X is the Higgs image of F along X.  Both
+    B = (R^{-1}[:g, :g] + i R^{-1}[g:, :g]) / 2 and the Weil operator
+    C = R t(J) R^{-1} come from one real inverse of R = [Re F, Im F].  The point
     is checked for Im tau > 0 and for a well-conditioned splitting V_C = F^1 + conj(F^1).
     """
-    p, _, g = taus.shape
-    if np.min(np.linalg.eigvalsh(getattr(taus, "v", taus).imag)) <= 0:
-        raise ValueError("Im(tau) must be positive definite at every point")
-    frame = _empty(taus, (p, 2 * g, 2 * g), complex)     # [F, conj(F) B] = [[tau, conj(tau) B], [I, B]]
-    frame[:, :g, :g], frame[:, g:, :g] = taus, np.eye(g)
-    real, inv = _split_inverse(frame[:, :, :g])           # F = (tau; I), so R = [[Re tau, Im tau], [I, 0]]
+    g = tau.shape[-1]
+    if np.min(np.linalg.eigvalsh(getattr(tau, "v", tau).imag)) <= 0:
+        raise ValueError("Im(tau) must be positive definite")
+    frame = _empty(tau, (2 * g, 2 * g), complex)       # [F, conj(F) B] = [[tau, conj(tau) B], [I, B]]
+    frame[:g, :g], frame[g:, :g] = tau, np.eye(g)
+    real, inv = _split_inverse(frame[:, :g])            # F = (tau; I), so R = [[Re tau, Im tau], [I, 0]]
     # t(C u) J conj(v) = t(u) t(t(J) C) conj(v), and t(J) C = t(J) R t(J) R^{-1} where J is a
     # signed block swap: t(J) [[A, B], [C, D]] t(J) = [[-D, C], [B, -A]], exactly
-    swapped = real.reshape(p, 2, g, 2, g)[:, ::-1, :, ::-1] * _BLOCK_SWAP_SIGNS
-    j_weil = swapped.reshape(p, 2 * g, 2 * g) @ inv
-    b = (inv[:, :g, :g] + 1j * inv[:, g:, :g]) / 2
-    frame[:, :g, g:], frame[:, g:, g:] = taus.conj() @ b, b
+    swapped = real.reshape(2, g, 2, g)[::-1, :, ::-1] * _BLOCK_SWAP_SIGNS
+    j_weil = swapped.reshape(2 * g, 2 * g) @ inv
+    b = (inv[:g, :g] + 1j * inv[g:, :g]) / 2
+    frame[:g, g:], frame[g:, g:] = tau.conj() @ b, b
     return (j_weil @ frame).swapaxes(-1, -2) @ frame.conj()
 
 
-def _metric_stack(taus, dirs):
-    """Hodge metric matrices (P, m, m) against the directions ``dirs`` (m, g, g), or their jet."""
-    return _grams_metric(_frame_grams(taus), dirs)
-
-
 def _grams_metric(grams, dirs):
-    """The metric matrices (P, m, m) against ``dirs`` (m, g, g) of the frame Grams ``grams``, or their jet.
+    """The metric matrix (m, m) against ``dirs`` (m, g, g) of the frame Gram ``grams``, or its jet.
 
     Entry (k, l) sums the pairings of the Higgs images of an H-orthonormal
     frame F S of F^1 along X_k and X_l.  With G the Gram matrix of F and Q
@@ -267,10 +260,11 @@ def _grams_metric(grams, dirs):
     Hermitian, so conj(X_l G^{-1}) = conj(X_l) t(G^{-1}), which needs no conjugate of a jet.
     """
     g = dirs.shape[-1]
-    frame = grams[:, :g, :g]
+    frame = grams[:g, :g]
     frame_inv = _inverse((frame + frame.conj().swapaxes(-1, -2)) / 2)
-    left = dirs.swapaxes(-1, -2) @ grams[:, None, g:, g:]
-    right = dirs.conj() @ frame_inv.swapaxes(-1, -2)[:, None]
+    # the None lines the directions up with a jet's parts axis
+    left = dirs.swapaxes(-1, -2) @ grams[None, g:, g:]
+    right = dirs.conj() @ frame_inv.swapaxes(-1, -2)[None]
     out = _product(partial(np.einsum, "...kac,...lca->...kl"), left, right)
     return (out + out.conj().swapaxes(-1, -2)) / 2
 
@@ -283,31 +277,31 @@ def _basis_stack(g):
     return dirs
 
 
-def _tau_jet(taus):
-    """The jet of tau + s_c X_c at every point of a stack (P, g, g), along the coordinate directions X_c.
-    Refuses g > JET_GENUS_LIMIT before the seed is built: a jet has m(m + 2) parts, m = g(g + 1)/2."""
-    if taus.shape[-1] > JET_GENUS_LIMIT:
+def _tau_jet(tau):
+    """The jet of tau + s_c X_c at tau (g, g), along the coordinate directions X_c.  Refuses
+    g > JET_GENUS_LIMIT before the seed is built: a jet has m(m + 2) parts, m = g(g + 1)/2."""
+    if tau.shape[-1] > JET_GENUS_LIMIT:
         raise ValueError(f"the Einstein and curvature checks are guarded to g <= {JET_GENUS_LIMIT}")
-    dirs = _basis_stack(taus.shape[-1])
-    seed = np.zeros((len(dirs) * (len(dirs) + 2),) + taus.shape, complex)
-    seed[:len(dirs)] = dirs[:, None]
-    return _Jet(taus, seed)
+    dirs = _basis_stack(tau.shape[-1])
+    seed = np.zeros((len(dirs) * (len(dirs) + 2),) + tau.shape, complex)
+    seed[:len(dirs)] = dirs
+    return _Jet(tau, seed)
 
 
 @lru_cache(maxsize=2)
 def _point_grams(g, tau_bytes, jet):
-    """_frame_grams of the one point whose complex128 entries are tau_bytes, as a stack (1, 2g, 2g),
-    read-only: plain, or with ``jet`` the jet of _tau_jet.  Two entries hold one point's jet and plain
+    """_frame_grams (2g, 2g) of the point whose complex128 entries are tau_bytes, read-only: plain,
+    or with ``jet`` the jet of _tau_jet.  Two entries hold one point's jet and plain
     Gram, which is all the checks at one point read; a point that raises caches nothing."""
-    taus = np.frombuffer(tau_bytes, dtype=complex).reshape(1, g, g)
-    grams = _frame_grams(_tau_jet(taus) if jet else taus)
+    tau = np.frombuffer(tau_bytes, dtype=complex).reshape(g, g)
+    grams = _frame_grams(_tau_jet(tau) if jet else tau)
     for part in (grams.v, grams.d) if jet else (grams,):
         part.flags.writeable = False
     return grams
 
 
 def _point_metric(tau, dirs, jet):
-    """The metric matrices (1, m, m) at tau against ``dirs``, or their jet, from the point's cached Gram."""
+    """The metric matrix (m, m) at tau against ``dirs``, or its jet, from the point's cached Gram."""
     return _grams_metric(_point_grams(tau.g, tau.tau.tobytes(), jet), dirs)
 
 
@@ -323,7 +317,7 @@ def hodge_metric_tangent(tau: SiegelPoint, x: TangentDirection, y: TangentDirect
     Reads the plain frame Gram of tau from the point cache (_point_grams), so the checks at one point
     build it once.
     """
-    return complex(_point_metric(tau, np.array([x.X, y.X]), False)[0, 0, 1])
+    return complex(_point_metric(tau, np.array([x.X, y.X]), False)[0, 1])
 
 
 def hodge_metric_matrix(tau: SiegelPoint):
@@ -331,7 +325,7 @@ def hodge_metric_matrix(tau: SiegelPoint):
 
     Reads the plain frame Gram of tau from the point cache (_point_grams).
     """
-    return _point_metric(tau, _basis_stack(tau.g), False)[0]
+    return _point_metric(tau, _basis_stack(tau.g), False)
 
 
 def kahler_einstein_check(tau_samples):
@@ -351,9 +345,8 @@ def kahler_einstein_check(tau_samples):
     for tau in tau_samples:
         metric = _point_metric(tau, _basis_stack(tau.g), True)
         # d(omega) = 0 reduces to the symmetry of holomorphic derivatives
-        d_gram = metric.s[:, 0]
-        dw_residual = max(dw_residual, float(np.max(np.abs(d_gram - d_gram.swapaxes(0, 1)))))
-        ric = -np.trace(_chern_curvature(metric)[:, :, 0], axis1=-2, axis2=-1)
+        dw_residual = max(dw_residual, float(np.max(np.abs(metric.s - metric.s.swapaxes(0, 1)))))
+        ric = -np.trace(_chern_curvature(metric), axis1=-2, axis2=-1)
         gmat = hodge_metric_matrix(tau)
         lambdas.append(float(np.trace(np.linalg.solve(gmat, ric)).real) / len(gmat))
         einstein_residual = max(einstein_residual, float(np.max(np.abs(ric - lambdas[-1] * gmat))))
@@ -394,12 +387,12 @@ def higgs_curvature_identity_check(tau: SiegelPoint):
     theta = np.zeros((len(dirs), 2 * g, 2 * g), dtype=complex)
     theta[:, g:, :g] = dirs        # quotient-frame matrix of theta(X) is X itself
     # adjoint under <u, v> = t(u) G conj(v)
-    gbar = gram.v[0].conj()
+    gbar = gram.v.conj()
     theta_star = np.linalg.solve(gbar, theta.conj().swapaxes(-1, -2) @ gbar)
     rhs = -(theta[:, None] @ theta_star[None] - theta_star[None] @ theta[:, None])
 
     sym_residual = max(HiggsElement(g, s).symmetry_defect() for s in _higgs_matrices(tau, dirs))
-    curvature_residual = float(np.max(np.abs(_chern_curvature(gram)[:, :, 0] - rhs)))
+    curvature_residual = float(np.max(np.abs(_chern_curvature(gram) - rhs)))
     return {
         "curvature_residual": curvature_residual,
         "sym_square_residual": sym_residual,

@@ -194,6 +194,13 @@ def test_usage_errors(capsys):
     ["cusp-check", "--input", "TWOA_BOOL"],
     # a NaN target would switch the certified-tail guard off
     ["theta", "--char", "0;0", "--tau", "[[[0,0.01]]]", "--radius", "1", "--target", "nan"],
+    # so would a NaN, infinite or negative tolerance: residual > nan is never true
+    *(["symmetry-check", "--input", "WEIGHT_5", "--v", "[[-1]]", "--u", "[[0]]", "--tolerance", tol]
+      for tol in ("nan", "inf", "-1")),
+    *(["metric-check", "--samples", "1", "--tolerance", tol] for tol in ("nan", "inf", "-1")),
+    # A is half-integral, so 2A has an even diagonal
+    ["cusp-check", "--input", "ODD_DIAGONAL"],
+    ["symmetry-check", "--input", "ODD_DIAGONAL", "--v", "[[1]]", "--u", "[[1]]"],
 ])
 def test_malformed_input_exits_2(capsys, tmp_path, argv):
     table = lattice_theta_coefficients(named_lattice("e8"), 2, 1).to_json()
@@ -204,10 +211,11 @@ def test_malformed_input_exits_2(capsys, tmp_path, argv):
                 "LIST": [genus_1], "LEVEL_STRING": {**genus_1, "level": "1"},
                 "TRACE_STRING": {**genus_1, "trace_bound": "x"}, "GENUS_BOOL": {**genus_1, "genus": True},
                 "GENUS_NEGATIVE": {**genus_1, "genus": -1, "coeffs": []},
-                "GENUS_1": genus_1}
+                "GENUS_1": genus_1,
+                "WEIGHT_5": {**genus_1, "weight": 5, "coeffs": [{"twoA": [[2]], "re": 1, "im": 0}]}}
     for key, two_a, re in (("HALF", [[2.5]], 1), ("SCALAR", 5, 1), ("STRING", [[2]], "5"),
                            ("BOOL", [[2]], True), ("NAN", [[0]], float("nan")),
-                           ("TWOA_BOOL", [[True]], 1)):
+                           ("TWOA_BOOL", [[True]], 1), ("ODD_DIAGONAL", [[1]], 1)):
         contents[key] = {**genus_1, "coeffs": [{"twoA": two_a, "re": re, "im": 0}]}
     files = {key: tmp_path / f"{key.lower()}.json" for key in [*contents, "MISSING"]}
     for key, data in contents.items():

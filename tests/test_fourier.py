@@ -70,6 +70,12 @@ def test_half_integral_validation():
         HalfIntegralMatrix(2, ((1, 0), (1, 1)))        # not symmetric
     with pytest.raises(ValueError):
         HalfIntegralMatrix(2, ((-2, 0), (0, 2)))
+    # A is half-integral: its diagonal is integral, so that of 2A is even
+    for odd in (((1,),), ((2, 1), (1, 3)), ((1, 0), (0, 0))):
+        with pytest.raises(ValueError, match="even diagonal"):
+            HalfIntegralMatrix(len(odd), odd)
+    with pytest.raises(ValueError, match="even diagonal"):
+        HalfIntegralMatrix.from_key(2, (1, 0, 2))
     # an entry that is not an integer is refused, not truncated or parsed
     for bad in (2.5, "4", 2.999, None, math.inf):
         with pytest.raises(ValueError, match="integer entries"):
@@ -94,17 +100,17 @@ def test_evaluate_constant_and_single_key():
         assert evaluate(const, tau) == pytest.approx(1.0)
     single = FourierExpansion(2, 1, 4, {HalfIntegralMatrix(2, ((2, 0), (0, 0))): 1})
     val = evaluate(single, SiegelPoint.diagonal(1j, 1j))
-    assert val == pytest.approx(math.exp(-math.pi))
+    assert val == pytest.approx(math.exp(-2 * math.pi))      # exp(2 pi i Tr(A tau)), A = diag(1, 0)
 
 
 def test_evaluate_matches_direct_lattice_sum():
-    # independent oracle: direct sum over enumerated vectors with the same
-    # half-integral indexing, exp(pi i t(x) G x tau / 2)
+    # independent oracle: the theta series itself, a direct sum of exp(pi i t(x) G x tau)
+    # over the enumerated vectors
     e8 = named_lattice("e8")
     f = lattice_theta_coefficients(e8, 1, 4)
     tau = SiegelPoint(1, np.array([[1j]]))
     direct = sum(
-        cmath.exp(1j * math.pi * e8.norm(tuple(v)) * 1j / 2)
+        cmath.exp(1j * math.pi * e8.norm(tuple(v)) * 1j)
         for v in short_vectors(e8, 8).tolist()
     )
     assert abs(evaluate(f, tau) - direct) <= 1e-9 * abs(direct)
@@ -236,6 +242,38 @@ def test_is_cusp_level1():
     level2 = FourierExpansion(2, 2, 8, {HalfIntegralMatrix(2, ((0, 0), (0, 0))): 1})
     with pytest.raises(ValueError):
         is_cusp_level1(level2)
+
+
+# the E8 theta series is a level-1 form of weight 4: every M(V, U) keeps its table
+@pytest.mark.parametrize("v, u", [
+    (((1,),), ((1,),)),                             # tau -> tau + 1
+    (((-1,),), ((1,),)),
+    (((1, 0), (0, 1)), ((1, 0), (0, 0))),           # translations
+    (((1, 0), (0, 1)), ((0, 1), (1, 0))),
+    (((1, 1), (0, 1)), ((1, 1), (1, 0))),           # mixed: V U is symmetric
+    (((0, 1), (1, 0)), ((0, 1), (1, 0))),
+], ids=["g1-translation", "g1-mixed", "g2-translation-e11", "g2-translation-e12", "g2-mixed-shear",
+        "g2-mixed-swap"])
+def test_symmetry_check_passes_the_e8_theta_series(v, u):
+    g = len(v)
+    f = lattice_theta_coefficients(named_lattice("e8"), g, 4 if g == 1 else 3)
+    assert symmetry_check(f, SlashContext(v, u)) == []
+
+
+def test_symmetry_check_flags_a_changed_coefficient_under_a_mixed_element():
+    f = lattice_theta_coefficients(named_lattice("e8"), 2, 3)
+    changed = FourierExpansion(2, 1, 4, {**f.coeffs, (2, 1, 2): f.coeffs[(2, 1, 2)] + 1}, f.trace_bound)
+    violations = symmetry_check(changed, SlashContext(((1, 1), (0, 1)), ((1, 1), (1, 0))))
+    assert [(a.twoA, residual) for a, residual in violations] == [(((2, -1), (-1, 2)), 1.0)]
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9])
+def test_symmetry_check_refuses_a_tolerance_that_switches_it_off(tol):
+    f = FourierExpansion(1, 1, 5, {HalfIntegralMatrix(1, ((2,),)): 1})
+    ctx = SlashContext(((-1,),), ((0,),))
+    assert len(symmetry_check(f, ctx)) == 1          # weight 5 and V = -1 force c(A) = -c(A)
+    with pytest.raises(ValueError, match="tolerance"):
+        symmetry_check(f, ctx, tol=tol)
 
 
 def test_cusp_agrees_with_phi_where_computable():

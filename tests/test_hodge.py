@@ -25,7 +25,7 @@ from siegelkit.siegelspace import (
 from siegelkit.hodge import (
     HodgeStructureW1,
     _frame_grams,
-    _metric_stack,
+    _grams_metric,
     higgs_curvature_identity_check,
     hodge_inner,
     hodge_metric_matrix,
@@ -128,13 +128,11 @@ def test_kernel_matches_per_entry_reference(g):
     rng = np.random.default_rng(30 + g)
     taus = [random_siegel_point(g, rng) for _ in range(4)]
     dirs = np.array([x.X for x in tangent_basis(g)])
-    stacked_bundle = _frame_grams(np.array([t.tau for t in taus]))
-    stacked_metric = _metric_stack(np.array([t.tau for t in taus]), dirs)
-    for k, tau in enumerate(taus):
+    for tau in taus:
         bundle, metric = _reference_grams(tau)
-        for got in (stacked_bundle[k], _frame_grams(tau.tau[None])[0]):
-            assert np.max(np.abs(got - bundle)) <= 1e-12 * np.max(np.abs(bundle))
-        for got in (stacked_metric[k], hodge_metric_matrix(tau)):
+        grams = _frame_grams(tau.tau)
+        assert np.max(np.abs(grams - bundle)) <= 1e-12 * np.max(np.abs(bundle))
+        for got in (_grams_metric(grams, dirs), hodge_metric_matrix(tau)):
             assert np.max(np.abs(got - metric)) <= 1e-12 * np.max(np.abs(metric))
 
 
@@ -152,15 +150,18 @@ def test_real_splitting_matrix_has_the_condition_number_of_the_complex_one(g):
 @pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
 def test_metric_contraction_matches_the_einsum_reference(g):
     rng = np.random.default_rng(80 + g)
-    taus = np.array([random_siegel_point(g, rng).tau for _ in range(4)])
-    grams = _frame_grams(taus)
-    frame = grams[:, :g, :g]
-    frame_inv = np.linalg.inv((frame + frame.conj().swapaxes(-1, -2)) / 2)
+    taus = [random_siegel_point(g, rng).tau for _ in range(4)]
     basis = np.array([x.X for x in tangent_basis(g)])
-    for dirs in (basis, np.array([random_tangent(g, rng).X for _ in range(3)])):
-        out = np.einsum("kba,pbc,lcd,pda->pkl", dirs, grams[:, g:, g:], dirs.conj(), frame_inv.conj())
-        expected = (out + out.conj().swapaxes(-1, -2)) / 2
-        assert np.max(np.abs(_metric_stack(taus, dirs) - expected)) <= 1e-13 * np.max(np.abs(expected))
+    random_dirs = np.array([random_tangent(g, rng).X for _ in range(3)])
+    for tau in taus:
+        grams = _frame_grams(tau)
+        frame = grams[:g, :g]
+        frame_inv = np.linalg.inv((frame + frame.conj().T) / 2)
+        for dirs in (basis, random_dirs):
+            out = np.einsum("kba,bc,lcd,da->kl", dirs, grams[g:, g:], dirs.conj(), frame_inv.conj())
+            expected = (out + out.conj().T) / 2
+            got = _grams_metric(grams, dirs)
+            assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 def test_stacked_higgs_matrices_match_one_direction_at_a_time():
@@ -227,7 +228,8 @@ def _log_det_ricci(tau, h=1e-3):
     m = len(dirs)
     shifts = h * np.array([1, -1, 1j, -1j])[:, None, None] * dirs[:, None]     # (a, s, g, g)
     points = tau.tau + shifts[:, None, :, None] + shifts[None, :, None, :]      # (a, b, s, t, g, g)
-    log_det = np.linalg.slogdet(_metric_stack(points.reshape(-1, tau.g, tau.g), dirs))[1]
+    log_det = np.array([np.linalg.slogdet(_grams_metric(_frame_grams(point), dirs))[1]
+                        for point in points.reshape(-1, tau.g, tau.g)])
     d_dz, d_dzbar = np.array([1, -1, -1j, 1j]) / 4, np.array([1, -1, 1j, -1j]) / 4
     return np.einsum("abst,s,t->ab", log_det.reshape(m, m, 4, 4), d_dz, d_dzbar) / h**2
 
@@ -237,8 +239,8 @@ def test_ricci_trace_matches_the_log_det_reference(g):
     # the jets' Ricci form against the finite-difference reference, within its O(h^2) truncation error
     rng = np.random.default_rng(60 + g)
     for tau in [SiegelPoint.scaled_identity(g)] + [random_siegel_point(g, rng) for _ in range(3)]:
-        jet = hodge._tau_jet(tau.tau[None])
-        omega = hodge._chern_curvature(_metric_stack(jet, hodge._basis_stack(g)))[:, :, 0]
+        jet = _frame_grams(hodge._tau_jet(tau.tau))
+        omega = hodge._chern_curvature(_grams_metric(jet, hodge._basis_stack(g)))
         ricci, reference = -np.trace(omega, axis1=-2, axis2=-1), _log_det_ricci(tau)
         assert np.max(np.abs(ricci - reference)) <= 1e-5 * np.max(np.abs(reference))
 
@@ -247,14 +249,11 @@ def test_ricci_trace_matches_the_log_det_reference(g):
 def test_jet_value_part_is_the_plain_kernel_byte_for_byte(g):
     rng = np.random.default_rng(70 + g)
     dirs = np.array([x.X for x in tangent_basis(g)])
-    points = [SiegelPoint.scaled_identity(g)] + [random_siegel_point(g, rng) for _ in range(3)]
-    taus = np.array([tau.tau for tau in points])
-    assert _frame_grams(hodge._tau_jet(taus)).v.tobytes() == _frame_grams(taus).tobytes()
-    assert _metric_stack(hodge._tau_jet(taus), dirs).v.tobytes() == _metric_stack(taus, dirs).tobytes()
-    for tau in points:
-        jet = hodge._tau_jet(tau.tau[None])
-        assert _frame_grams(jet).v.tobytes() == _frame_grams(tau.tau[None]).tobytes()
-        assert _metric_stack(jet, dirs).v[0].tobytes() == hodge_metric_matrix(tau).tobytes()
+    for tau in [SiegelPoint.scaled_identity(g)] + [random_siegel_point(g, rng) for _ in range(3)]:
+        jet, plain = _frame_grams(hodge._tau_jet(tau.tau)), _frame_grams(tau.tau)
+        assert jet.v.tobytes() == plain.tobytes()
+        assert _grams_metric(jet, dirs).v.tobytes() == _grams_metric(plain, dirs).tobytes()
+        assert _grams_metric(plain, dirs).tobytes() == hodge_metric_matrix(tau).tobytes()
 
 
 @pytest.mark.parametrize("g", [1, 2, 3])
@@ -263,14 +262,14 @@ def test_jet_first_parts_match_central_differences_of_the_plain_kernel(g):
     # differences at step h: the s parts are the former and the t parts the latter
     rng = np.random.default_rng(90 + g)
     dirs = np.array([x.X for x in tangent_basis(g)])
-    taus = np.array([SiegelPoint.scaled_identity(g).tau] + [random_siegel_point(g, rng).tau for _ in range(2)])
+    taus = [SiegelPoint.scaled_identity(g).tau] + [random_siegel_point(g, rng).tau for _ in range(2)]
     h = 1e-5
-    for kernel in (_frame_grams, lambda t: _metric_stack(t, dirs)):
-        jet = kernel(hodge._tau_jet(taus))
+    for kernel, tau in itertools.product((_frame_grams, lambda t: _grams_metric(_frame_grams(t), dirs)), taus):
+        jet = kernel(hodge._tau_jet(tau))
         scale = np.max(np.abs(jet.v))
         for c, x in enumerate(dirs):
-            dx = (kernel(taus + h * x) - kernel(taus - h * x)) / (2 * h)
-            dy = (kernel(taus + 1j * h * x) - kernel(taus - 1j * h * x)) / (2 * h)
+            dx = (kernel(tau + h * x) - kernel(tau - h * x)) / (2 * h)
+            dy = (kernel(tau + 1j * h * x) - kernel(tau - 1j * h * x)) / (2 * h)
             assert np.max(np.abs(jet.s[c] - (dx - 1j * dy) / 2)) <= 1e-8 * scale
             assert np.max(np.abs(jet.t[c] - (dx + 1j * dy) / 2)) <= 1e-8 * scale
 
@@ -342,7 +341,7 @@ def test_a_point_one_ulp_away_gets_its_own_grams():
     misses = hodge._point_grams.cache_info().misses
     got = hodge_metric_matrix(moved)
     assert hodge._point_grams.cache_info().misses == misses + 1
-    assert got.tobytes() == _metric_stack(near[None], hodge._basis_stack(2))[0].tobytes()
+    assert got.tobytes() == _grams_metric(_frame_grams(near), hodge._basis_stack(2)).tobytes()
 
 
 def test_a_point_that_raises_caches_nothing():
@@ -385,16 +384,18 @@ def test_metric_matrix_takes_a_genus_past_the_jet_limit():
     assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
     # two directions past the limit are taken too
     x, y = basis[:2]
-    pair = _metric_stack(tau.tau[None], np.array([x.X, y.X]))[0, 0, 1]
+    pair = _grams_metric(_frame_grams(tau.tau), np.array([x.X, y.X]))[0, 1]
     assert hodge_metric_tangent(tau, x, y) == pair
 
 
 def test_kernel_checks_every_point():
     good = 1j * np.eye(2)
-    with pytest.raises(ValueError, match="positive definite"):
-        _frame_grams(np.array([good, good, -good]))
-    with pytest.raises(ValueError, match="ill-conditioned"):
-        _frame_grams(np.array([good, 1e-9 * good]))
+    for point in (lambda tau: tau, hodge._tau_jet):
+        _frame_grams(point(good))
+        with pytest.raises(ValueError, match="positive definite"):
+            _frame_grams(point(-good))
+        with pytest.raises(ValueError, match="ill-conditioned"):
+            _frame_grams(point(1e-9 * good))
 
 
 def test_curvature_identity():
@@ -431,8 +432,8 @@ def test_genus_guard_refuses_before_any_jet_is_built(capsys, monkeypatch, check,
     captured = capsys.readouterr()
     assert captured.out == "" and f"g <= {hodge.JET_GENUS_LIMIT}" in json.loads(captured.err)["error"]
     # the limit itself is taken: its seed is built
-    jet = hodge._tau_jet(SiegelPoint.scaled_identity(hodge.JET_GENUS_LIMIT).tau[None])
-    assert jet.s.tobytes() == hodge._basis_stack(hodge.JET_GENUS_LIMIT)[:, None].tobytes()
+    jet = hodge._tau_jet(SiegelPoint.scaled_identity(hodge.JET_GENUS_LIMIT).tau)
+    assert jet.s.tobytes() == hodge._basis_stack(hodge.JET_GENUS_LIMIT).tobytes()
 
 
 def test_decomposition_condition_guard():
@@ -447,7 +448,7 @@ def test_decomposition_condition_guard():
 def _split_refused(tau):
     """Whether the kernel and HodgeStructureW1 refuse tau, as a pair."""
     refused = []
-    for build in (lambda: _frame_grams(tau.tau[None]), lambda: HodgeStructureW1.from_tau(tau)):
+    for build in (lambda: _frame_grams(tau.tau), lambda: HodgeStructureW1.from_tau(tau)):
         try:
             build()
         except ValueError as err:
@@ -489,9 +490,9 @@ def test_split_guard_edge_at_genus_two():
 # _point_metric and the frame Gram through _point_grams, which calls _frame_grams.
 
 
-def _point_taus(tau, jet):
-    """The stack of one point that the point cache builds its Gram from: tau, or its jet."""
-    return hodge._tau_jet(tau.tau[None]) if jet else tau.tau[None]
+def _point_tau(tau, jet):
+    """The point that the point cache builds its Gram from: tau (g, g), or its jet."""
+    return hodge._tau_jet(tau.tau) if jet else tau.tau
 
 
 def _lambda_drift():
@@ -510,17 +511,17 @@ def _shear():
         metrics = point_metric(tau, dirs, jet)
         shear = np.zeros((len(dirs), len(dirs)))
         shear[1, 0] = 1e-2
-        return metrics + (_point_taus(tau, jet)[:, 0, 0] + -1j).real[:, None, None] * (shear @ metrics)
+        return metrics + (_point_tau(tau, jet)[:1, :1] + -1j).real * (shear @ metrics)
     return "_point_metric", kernel
 
 
 def _conformal(name, kernel, scale=0.1):
     # 1 + scale |tau_00 - i|^2, a jet product on jets, adds a curvature term; at i I it
-    # changes neither the value nor the first derivatives.  _frame_grams takes the stack
-    # of points, _point_metric the point, its directions and whether to take the jet
+    # changes neither the value nor the first derivatives.  _frame_grams takes the point
+    # (g, g), _point_metric the point, its directions and whether to take the jet
     def perturbed(*args):
-        u = (args[0] if len(args) == 1 else _point_taus(args[0], args[2]))[:, 0, 0] + -1j
-        return kernel(*args) * (u * u.conj() * scale + 1)[:, None, None]
+        u = (args[0] if len(args) == 1 else _point_tau(args[0], args[2]))[:1, :1] + -1j
+        return kernel(*args) * (u * u.conj() * scale + 1)
     return lambda: (name, perturbed)
 
 
